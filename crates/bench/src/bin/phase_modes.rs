@@ -20,7 +20,8 @@ use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma_events::{gesture_events, gesture_events_with_hold, Button, DwellDetector};
 use grandma_synth::datasets;
 use grandma_toolkit::{
-    GestureClass, GestureHandler, GestureHandlerConfig, HandlerRef, Interface, PhaseTransition,
+    GestureClass, GestureHandler, GestureHandlerConfig, HandlerRef, InteractionConfig, Interface,
+    PhaseTransition,
 };
 
 fn main() {
@@ -39,7 +40,10 @@ fn main() {
                 .map(|n| GestureClass::named(n))
                 .collect(),
             GestureHandlerConfig {
-                eager,
+                interaction: InteractionConfig {
+                    eager,
+                    ..InteractionConfig::default()
+                },
                 ..GestureHandlerConfig::default()
             },
         )));

@@ -147,14 +147,6 @@ impl EagerRecognizer {
         self.full.classify(gesture)
     }
 
-    /// Checked variant of [`EagerRecognizer::classify_full`]: `None` when
-    /// the gesture's features are non-finite (corrupted or degenerate
-    /// input) instead of a garbage argmax. See
-    /// [`Classifier::classify_checked`].
-    pub fn classify_full_checked(&self, gesture: &Gesture) -> Option<Classification> {
-        self.full.classify_checked(gesture)
-    }
-
     /// Returns the underlying full classifier.
     pub fn full_classifier(&self) -> &Classifier {
         &self.full
@@ -508,21 +500,6 @@ mod tests {
             b.feed(p);
         }
         assert_eq!(a.finish(), b.finish_checked());
-    }
-
-    #[test]
-    fn classify_full_checked_rejects_corrupt_gestures() {
-        let (rec, _) = trained();
-        let good = two_segment((1.0, 0.0), (0.0, 1.0), 0.23);
-        assert_eq!(
-            rec.classify_full_checked(&good).map(|c| c.class),
-            Some(rec.classify_full(&good).class)
-        );
-        let bad = Gesture::from_points(vec![
-            Point::new(0.0, 0.0, 0.0),
-            Point::new(f64::NAN, 1.0, 10.0),
-        ]);
-        assert!(rec.classify_full_checked(&bad).is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! The paper's primary contribution: Rubine's statistical single-stroke
 //! gesture recognizer and the eager-recognition training algorithm.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! 1. [`features`] — the incremental feature vector (§4.2: "each feature
 //!    has the property that it can be updated in constant time per mouse
@@ -17,6 +17,9 @@
 //!    threshold, train the Ambiguous/Unambiguous Classifier (AUC), bias it
 //!    5× toward "ambiguous", and tweak complete-class constants until no
 //!    training incomplete subgesture is judged unambiguous.
+//! 4. [`interaction`] — the §3.2 two-phase interaction state machine
+//!    (collect, decide the phase transition, classify) that the toolkit's
+//!    gesture handler and the server's session pipeline both drive.
 //!
 //! # Examples
 //!
@@ -68,6 +71,7 @@ pub mod baseline;
 pub mod classifier;
 pub mod eager;
 pub mod features;
+pub mod interaction;
 pub mod multistroke;
 pub mod parallel;
 pub mod persist;
@@ -77,4 +81,7 @@ pub use eager::{
     AucClassKind, EagerConfig, EagerRecognizer, EagerSession, EagerTrainReport, SubgestureRecord,
 };
 pub use features::{FeatureExtractor, FeatureMask, PointFilter, FEATURE_COUNT, FEATURE_NAMES};
+pub use interaction::{
+    InteractionConfig, InteractionEngine, InteractionOutcome, PhaseTransition, Step, StepSink,
+};
 pub use persist::PersistError;

@@ -9,7 +9,8 @@ use grandma_geom::Gesture;
 use grandma_sem::Value;
 use grandma_synth::datasets;
 use grandma_toolkit::{
-    GestureHandler, GestureHandlerConfig, HandlerRef, InteractionTrace, Interface,
+    GestureHandler, GestureHandlerConfig, HandlerRef, InteractionConfig, InteractionTrace,
+    Interface,
 };
 
 use crate::control::{ControlPointHandler, CONTROL_CLASS, CONTROL_HALF};
@@ -84,7 +85,10 @@ impl Gdp {
         // runtime see one distribution (GRANDMA trained from gestures
         // collected by the same input path).
         let handler_config = GestureHandlerConfig {
-            eager: config.eager,
+            interaction: InteractionConfig {
+                eager: config.eager,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         };
         let training: Vec<Vec<Gesture>> = data
@@ -95,7 +99,7 @@ impl Gdp {
                     .iter()
                     .map(|g| {
                         grandma_core::PointFilter::filter_gesture(
-                            handler_config.min_point_distance,
+                            handler_config.interaction.min_point_distance,
                             g,
                         )
                     })

@@ -87,7 +87,7 @@ pub use router::{
 };
 pub use session::{
     run_events_inproc, PipelineConfig, SessionPipeline, SessionSnapshot, SnapshotError,
-    SnapshotPhase, OUTCOME_KIND_COUNT,
+    OUTCOME_KIND_COUNT,
 };
 pub use tcp::{PollBackend, TcpOptions, TcpService};
 pub use wal::{FsyncPolicy, WalConfig, WalDirLock, WAL_LOCK_FILE};

@@ -1,72 +1,46 @@
-//! The per-session recognition pipeline: sanitize → eager classify →
-//! outcome.
+//! The per-session recognition pipeline: sanitize → interaction engine →
+//! wire frames.
 //!
-//! [`SessionPipeline`] is the serving-layer counterpart of the toolkit's
-//! `GestureHandler` state machine (ISSUE 2), with the interaction
-//! semantics stripped out and replaced by wire frames: where the handler
-//! evaluates `recog`/`manip`/`done` expressions, the pipeline emits
-//! [`ServerFrame::Recognized`] / [`ServerFrame::Manipulate`] /
+//! [`SessionPipeline`] is the serving-layer adapter over
+//! [`grandma_core::interaction`], the same engine the toolkit's
+//! `GestureHandler` drives. Where the handler evaluates
+//! `recog`/`manip`/`done` expressions on the engine's steps, the pipeline
+//! emits [`ServerFrame::Recognized`] / [`ServerFrame::Manipulate`] /
 //! [`ServerFrame::Outcome`] for the consuming application to act on at
-//! the far end of the transport.
+//! the far end of the transport. It adds the stream sanitizer in front,
+//! the resume cursor, the per-session outcome counters, and the
+//! [`SessionSnapshot`] codec.
 //!
 //! The pipeline is pure with respect to its inputs: the same
 //! `(recognizer, config, event sequence)` always produces the same frame
 //! sequence, which is what lets the loopback integration test demand
 //! byte-identical outcomes between the TCP service and
-//! [`run_events_inproc`]. It holds no clock, no thread, and no
-//! allocation beyond its collection buffers; the classification hot path
-//! is the same allocation-free eager machinery as ISSUE 1.
-//!
-//! State machine (mirroring the handler's, §3.2 two-phase technique):
-//!
-//! ```text
-//! Idle ──down──▶ Collecting ──eager/timeout──▶ Manipulating ──up──▶ Idle
-//!   ▲                │  │                          │    │
-//!   │                │  └──up (classify at up)─────────────────────▶ Idle
-//!   │                └────reject / budget──▶ Draining ──end────────┘
-//!   └────grab-break (from anywhere, immediate Cancelled outcome)────┘
-//! ```
+//! [`run_events_inproc`]. It holds no clock and no thread, and after the
+//! first gesture has warmed its buffers, feeding an event performs no
+//! heap allocation.
 
-use grandma_core::{EagerRecognizer, FeatureExtractor, PointFilter, FEATURE_COUNT};
+use grandma_core::interaction::{
+    DrainOutcome, InteractionConfig, InteractionEngine, InteractionOutcome, InteractionSnapshot,
+    Phase, PhaseTransition, Step, StepSink,
+};
+use grandma_core::EagerRecognizer;
 use grandma_events::{EventKind, EventSanitizer, InputEvent, SanitizerConfig, SanitizerState};
-use grandma_geom::{Gesture, Point};
+use grandma_geom::Point;
 
 use crate::wire::{
     fault_code_of, put_f64, put_u16, put_u32, put_u64, Cur, OutcomeKind, ServerFrame, WireError,
     NO_CLASS,
 };
 
-/// Per-session pipeline tuning. Defaults mirror the toolkit's
-/// `GestureHandlerConfig` so a served session behaves like a local one.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-session pipeline tuning. The interaction settings are the
+/// engine's own, so a served session behaves like a local one.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PipelineConfig {
-    /// Whether eager recognition (the mid-gesture phase transition) is
-    /// enabled.
-    pub eager: bool,
-    /// Jitter filter threshold: collected points closer than this to the
-    /// previous kept point are discarded (Rubine used 3 px).
-    pub min_point_distance: f64,
-    /// Optional rejection: minimum estimated probability for a
-    /// classification to be acted on.
-    pub min_probability: Option<f64>,
-    /// Maximum sanitizer repairs tolerated within one interaction before
-    /// it is cancelled — a corrupted-beyond-repair stream must not be
-    /// classified.
-    pub fault_budget: u32,
+    /// Eager recognition, jitter filter, rejection threshold and fault
+    /// budget; sanitizer repairs count toward the budget.
+    pub interaction: InteractionConfig,
     /// Sanitizer tuning for this session's stream.
     pub sanitizer: SanitizerConfig,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self {
-            eager: true,
-            min_point_distance: 3.0,
-            min_probability: None,
-            fault_budget: 8,
-            sanitizer: SanitizerConfig::default(),
-        }
-    }
 }
 
 /// Number of [`OutcomeKind`] variants, for the per-session outcome
@@ -83,53 +57,26 @@ fn outcome_index(kind: OutcomeKind) -> usize {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Phase {
-    Idle,
-    /// Collecting points into the pipeline's reusable gesture buffer,
-    /// extractor, and jitter filter (fields on [`SessionPipeline`], not
-    /// here, so one interaction's allocations serve every later one).
-    Collecting,
-    Manipulating {
-        class: u16,
-        total_points: u32,
-    },
-    /// Terminal outcome decided but the grab is still live: swallow
-    /// events until one ends the interaction, then emit the held outcome.
-    Draining {
-        outcome: OutcomeKind,
-        class: Option<u16>,
-        total_points: u32,
-    },
+impl From<InteractionOutcome> for OutcomeKind {
+    fn from(outcome: InteractionOutcome) -> Self {
+        match outcome {
+            InteractionOutcome::Recognized => OutcomeKind::Recognized,
+            InteractionOutcome::Manipulated => OutcomeKind::Manipulated,
+            InteractionOutcome::Rejected => OutcomeKind::Rejected,
+            InteractionOutcome::Cancelled => OutcomeKind::Cancelled,
+        }
+    }
 }
 
 /// One session's full recognition pipeline. Owned by exactly one shard
 /// worker; never shared across threads.
-///
-/// The collection state (`gesture`, `extractor`, `filter`) and the
-/// sanitizer's scratch buffer live on the pipeline and are *cleared*, not
-/// dropped, between interactions: after the first gesture has warmed the
-/// buffers up, feeding an event performs no heap allocation — the
-/// serving-layer counterpart of `EagerSession`'s zero-allocation claim.
 pub struct SessionPipeline {
     session: u64,
     config: PipelineConfig,
     sanitizer: EventSanitizer,
-    phase: Phase,
-    /// Faults charged to the interaction in progress.
-    interaction_faults: u32,
-    /// Reusable collection buffer; cleared at each interaction start.
-    gesture: Gesture,
-    /// Boxed once at session open, reset in place per interaction.
-    extractor: Box<FeatureExtractor>,
-    filter: PointFilter,
+    engine: InteractionEngine,
     /// Sanitizer output scratch, reused across `feed` calls.
     cleaned: Vec<InputEvent>,
-    /// Stack buffer for the per-point eager ambiguity check.
-    features: [f64; FEATURE_COUNT],
-    /// Per-class evaluation scratch for the commit-time classification;
-    /// sized lazily to the recognizer's class count, then reused.
-    evaluations: Vec<f64>,
     /// Highest event `seq` fed through the pipeline; the authoritative
     /// resume point a `Resumed` reply carries (0 before any event —
     /// resuming clients number events from 1).
@@ -142,20 +89,12 @@ pub struct SessionPipeline {
 impl SessionPipeline {
     /// Creates the pipeline for `session`.
     pub fn new(session: u64, config: PipelineConfig) -> Self {
-        let sanitizer = EventSanitizer::with_config(config.sanitizer.clone());
-        let filter = PointFilter::new(config.min_point_distance);
         Self {
             session,
+            sanitizer: EventSanitizer::with_config(config.sanitizer.clone()),
+            engine: InteractionEngine::new(config.interaction.clone()),
             config,
-            sanitizer,
-            phase: Phase::Idle,
-            interaction_faults: 0,
-            gesture: Gesture::new(),
-            extractor: Box::new(FeatureExtractor::new()),
-            filter,
             cleaned: Vec::new(),
-            features: [0.0; FEATURE_COUNT],
-            evaluations: Vec::new(),
             last_seq: 0,
             outcome_counts: [0; OUTCOME_KIND_COUNT],
         }
@@ -178,19 +117,14 @@ impl SessionPipeline {
     }
 
     /// Re-arms a finished pipeline for a new session, keeping every
-    /// warmed buffer (gesture, extractor, sanitizer fault log, sanitizer
-    /// scratch). Observationally identical to
-    /// `SessionPipeline::new(session, config)` with the same config —
-    /// shard workers recycle closed pipelines through this instead of
-    /// reallocating.
+    /// warmed buffer (engine, sanitizer fault log, scratch). Observationally
+    /// identical to `SessionPipeline::new(session, config)` with the same
+    /// config — shard workers recycle closed pipelines through this
+    /// instead of reallocating.
     pub fn recycle(&mut self, session: u64) {
         self.session = session;
         self.sanitizer.reset();
-        self.phase = Phase::Idle;
-        self.interaction_faults = 0;
-        self.gesture.clear();
-        self.extractor.reset();
-        self.filter = PointFilter::new(self.config.min_point_distance);
+        self.engine.reset();
         self.cleaned.clear();
         self.last_seq = 0;
         self.outcome_counts = [0; OUTCOME_KIND_COUNT];
@@ -198,13 +132,12 @@ impl SessionPipeline {
 
     /// `true` while an interaction is in progress (any non-idle phase).
     pub fn interaction_in_progress(&self) -> bool {
-        !matches!(self.phase, Phase::Idle)
+        self.engine.in_progress()
     }
 
-    // lint:hot-path start — per-event steady state: no panics, no allocation
     /// Feeds one raw (possibly corrupted) event through sanitization and
-    /// the state machine, appending every provoked frame to `out`.
-    /// Returns the number of sanitizer repairs this event cost.
+    /// the engine, appending every provoked frame to `out`. Returns the
+    /// number of sanitizer repairs this event cost.
     pub fn feed(
         &mut self,
         rec: &EagerRecognizer,
@@ -227,7 +160,7 @@ impl SessionPipeline {
     }
 
     /// Ends the session: flushes the sanitizer (closing any dangling
-    /// interaction), finalizes the state machine, and emits the terminal
+    /// interaction), finalizes the engine, and emits the terminal
     /// [`OutcomeKind::Closed`] marker. Exactly one `Closed` outcome is
     /// emitted per pipeline lifetime.
     pub fn close(&mut self, rec: &EagerRecognizer, seq: u32, out: &mut Vec<ServerFrame>) {
@@ -243,25 +176,22 @@ impl SessionPipeline {
         // event for any open interaction, but a pipeline must terminate
         // even if that contract is ever violated.
         if self.interaction_in_progress() {
-            self.finish_interaction(seq, OutcomeKind::Cancelled, None, 0, out);
+            let grab_break = InputEvent::new(EventKind::GrabBreak, 0.0, 0.0, 0.0);
+            self.dispatch(rec, seq, grab_break, out);
         }
-        if let Some(counter) = self.outcome_counts.get_mut(outcome_index(OutcomeKind::Closed)) {
-            *counter = counter.saturating_add(1);
-        }
-        out.push(ServerFrame::Outcome {
+        Frames {
             session: self.session,
             seq,
-            outcome: OutcomeKind::Closed,
-            class: None,
-            total_points: 0,
-            faults: 0,
-        });
+            out,
+            outcome_counts: &mut self.outcome_counts,
+        }
+        .outcome(OutcomeKind::Closed, None, 0, 0);
     }
 
+    // lint:hot-path start — per-event steady state: no panics, no allocation
     /// Drains the sanitizer's fault log: emits one `Fault` frame per
-    /// repair and, while an interaction is in progress, charges them to
-    /// its budget (faults with no interaction to blame are reported but
-    /// not budgeted — mirroring the handler's `note_faults`).
+    /// repair and charges them to the interaction in progress (the engine
+    /// drops charges while idle).
     fn note_sanitizer_faults(&mut self, seq: u32, out: &mut Vec<ServerFrame>) -> u32 {
         if self.sanitizer.faults().is_empty() {
             return 0;
@@ -275,137 +205,12 @@ impl SessionPipeline {
         }
         let n = self.sanitizer.faults().len() as u32;
         self.sanitizer.clear_faults();
-        if self.interaction_in_progress() {
-            self.interaction_faults = self.interaction_faults.saturating_add(n);
-            self.enforce_fault_budget();
-        }
+        self.engine.charge(n);
         n
     }
 
-    /// Cancels the interaction into `Draining` when the budget is blown.
-    fn enforce_fault_budget(&mut self) {
-        if self.interaction_faults <= self.config.fault_budget {
-            return;
-        }
-        match self.phase {
-            Phase::Idle | Phase::Draining { .. } => {}
-            Phase::Collecting => {
-                self.phase = Phase::Draining {
-                    outcome: OutcomeKind::Cancelled,
-                    class: None,
-                    total_points: self.gesture.len() as u32,
-                };
-            }
-            Phase::Manipulating {
-                class,
-                total_points,
-            } => {
-                self.phase = Phase::Draining {
-                    outcome: OutcomeKind::Cancelled,
-                    class: Some(class),
-                    total_points,
-                };
-            }
-        }
-    }
-
-    /// Emits the interaction's terminal outcome and returns to idle,
-    /// resetting the per-interaction fault charge. The single exit point
-    /// of the state machine.
-    fn finish_interaction(
-        &mut self,
-        seq: u32,
-        outcome: OutcomeKind,
-        class: Option<u16>,
-        total_points: u32,
-        out: &mut Vec<ServerFrame>,
-    ) {
-        if let Some(counter) = self.outcome_counts.get_mut(outcome_index(outcome)) {
-            *counter = counter.saturating_add(1);
-        }
-        out.push(ServerFrame::Outcome {
-            session: self.session,
-            seq,
-            outcome,
-            class,
-            total_points,
-            faults: self.interaction_faults,
-        });
-        self.interaction_faults = 0;
-        self.phase = Phase::Idle;
-    }
-
-    /// The phase transition: classify the collected gesture (still in the
-    /// pipeline's reusable buffer) and either enter manipulation
-    /// (mid-gesture trigger) or finish (mouse-up).
-    fn transition(
-        &mut self,
-        rec: &EagerRecognizer,
-        seq: u32,
-        at_mouse_up: bool,
-        out: &mut Vec<ServerFrame>,
-    ) {
-        let points = self.gesture.len() as u32;
-        // Checked classification: non-finite or degenerate features are
-        // rejected explicitly rather than argmaxed over NaN. The warm
-        // extractor has accumulated exactly the collected points, so its
-        // features equal a fresh re-extraction of `self.gesture` without
-        // re-walking the points.
-        let classifier = rec.full_classifier();
-        let mask = classifier.mask();
-        // lint:allow(hot-path-index): mask.count() <= FEATURE_COUNT by construction
-        let slots = &mut self.features[..mask.count()];
-        self.extractor.masked_features_into(mask, slots);
-        self.evaluations.resize(classifier.num_classes(), 0.0);
-        let classification = classifier.classify_slice_checked(slots, &mut self.evaluations);
-        let accepted = match classification {
-            None => None,
-            Some((class, probability)) => {
-                if self
-                    .config
-                    .min_probability
-                    .is_some_and(|p| probability < p)
-                {
-                    None
-                } else {
-                    Some(class as u16)
-                }
-            }
-        };
-        match accepted {
-            Some(class) => {
-                if at_mouse_up {
-                    self.finish_interaction(seq, OutcomeKind::Recognized, Some(class), points, out);
-                } else {
-                    out.push(ServerFrame::Recognized {
-                        session: self.session,
-                        seq,
-                        class,
-                        points,
-                    });
-                    self.phase = Phase::Manipulating {
-                        class,
-                        total_points: points,
-                    };
-                }
-            }
-            None => {
-                if at_mouse_up {
-                    self.finish_interaction(seq, OutcomeKind::Rejected, None, points, out);
-                } else {
-                    // The grab is still live: hold the rejection until the
-                    // stream ends the interaction.
-                    self.phase = Phase::Draining {
-                        outcome: OutcomeKind::Rejected,
-                        class: None,
-                        total_points: points,
-                    };
-                }
-            }
-        }
-    }
-
-    /// Routes one *sanitized* event through the state machine.
+    /// Routes one *sanitized* event through the engine, encoding its
+    /// steps as frames as they are emitted.
     fn dispatch(
         &mut self,
         rec: &EagerRecognizer,
@@ -413,120 +218,13 @@ impl SessionPipeline {
         event: InputEvent,
         out: &mut Vec<ServerFrame>,
     ) {
-        // Post-sanitizer events are finite by contract; anything else is
-        // dropped defensively (never classified, never panicking).
-        if !event.is_finite() {
-            if self.interaction_in_progress() {
-                self.interaction_faults = self.interaction_faults.saturating_add(1);
-                self.enforce_fault_budget();
-                if event.ends_interaction() {
-                    self.teardown(seq, out);
-                }
-            }
-            return;
-        }
-        // A grab break tears down whatever is in progress, immediately.
-        if event.is_grab_break() {
-            if self.interaction_in_progress() {
-                self.teardown(seq, out);
-            }
-            return;
-        }
-        if let Phase::Draining {
-            outcome,
-            class,
-            total_points,
-        } = self.phase
-        {
-            if event.ends_interaction() {
-                self.finish_interaction(seq, outcome, class, total_points, out);
-            }
-            return;
-        }
-        match (self.phase, event.kind) {
-            (Phase::Idle, EventKind::MouseDown { .. }) => {
-                // Reuse the collection buffers from the previous
-                // interaction: clear, don't reallocate.
-                self.gesture.clear();
-                self.extractor.reset();
-                self.filter = PointFilter::new(self.config.min_point_distance);
-                let p = Point::new(event.x, event.y, event.t);
-                self.filter.accept(&p);
-                self.gesture.push(p);
-                self.extractor.update(p);
-                self.phase = Phase::Collecting;
-            }
-            (Phase::Idle, _) => {}
-            (Phase::Collecting, EventKind::MouseMove) => {
-                let p = Point::new(event.x, event.y, event.t);
-                if !self.filter.accept(&p) {
-                    return;
-                }
-                self.gesture.push(p);
-                self.extractor.update(p);
-                let min_points = rec.config().min_subgesture_points;
-                if self.config.eager && self.extractor.count() >= min_points {
-                    // Stack-buffered feature read: no per-point heap
-                    // traffic on the ambiguity check.
-                    let mask = rec.full_classifier().mask();
-                    // lint:allow(hot-path-index): mask.count() <= FEATURE_COUNT by construction
-                    let slots = &mut self.features[..mask.count()];
-                    self.extractor.masked_features_into(mask, slots);
-                    if rec.auc().is_unambiguous_slice(slots) {
-                        self.transition(rec, seq, false, out);
-                    }
-                }
-            }
-            (Phase::Collecting, EventKind::Timeout) => {
-                self.transition(rec, seq, false, out);
-            }
-            (Phase::Collecting, EventKind::MouseUp { .. }) => {
-                self.transition(rec, seq, true, out);
-            }
-            (Phase::Collecting, EventKind::MouseDown { .. }) => {
-                // The sanitizer demotes duplicate downs upstream; if one
-                // slips through, record it and ignore the event.
-                out.push(ServerFrame::Fault {
-                    session: self.session,
-                    seq,
-                    code: crate::wire::FaultCode::DuplicateMouseDown,
-                });
-                self.interaction_faults = self.interaction_faults.saturating_add(1);
-                self.enforce_fault_budget();
-            }
-            (Phase::Collecting, _) => {}
-            (
-                Phase::Manipulating {
-                    class,
-                    total_points,
-                },
-                EventKind::MouseMove,
-            ) => {
-                self.phase = Phase::Manipulating {
-                    class,
-                    total_points: total_points + 1,
-                };
-                out.push(ServerFrame::Manipulate {
-                    session: self.session,
-                    seq,
-                    x: event.x,
-                    y: event.y,
-                });
-            }
-            (
-                Phase::Manipulating {
-                    class,
-                    total_points,
-                },
-                EventKind::MouseUp { .. },
-            ) => {
-                self.finish_interaction(seq, OutcomeKind::Manipulated, Some(class), total_points, out);
-            }
-            (Phase::Manipulating { .. }, _) => {}
-            // Draining is fully handled before the match; this arm keeps
-            // the machine exhaustive.
-            (Phase::Draining { .. }, _) => {}
-        }
+        let mut frames = Frames {
+            session: self.session,
+            seq,
+            out,
+            outcome_counts: &mut self.outcome_counts,
+        };
+        self.engine.step(rec, event, &mut frames);
     }
     // lint:hot-path end
 
@@ -535,145 +233,102 @@ impl SessionPipeline {
     /// frames on every `feed`); pending faults are *not* carried by the
     /// snapshot.
     pub fn snapshot(&self) -> SessionSnapshot {
-        let phase = match self.phase {
-            Phase::Idle => SnapshotPhase::Idle,
-            Phase::Collecting => SnapshotPhase::Collecting,
-            Phase::Manipulating {
-                class,
-                total_points,
-            } => SnapshotPhase::Manipulating {
-                class,
-                total_points,
-            },
-            Phase::Draining {
-                outcome,
-                class,
-                total_points,
-            } => SnapshotPhase::Draining {
-                outcome,
-                class,
-                total_points,
-            },
-        };
-        // The collection buffers only matter mid-interaction: idle
-        // pipelines restore with empty (freshly-cleared) buffers, which
-        // is observationally identical because the next MouseDown clears
-        // them anyway.
-        let points = if matches!(self.phase, Phase::Idle) {
-            Vec::new()
-        } else {
-            self.gesture.points().to_vec()
-        };
         SessionSnapshot {
             session: self.session,
             config: self.config.clone(),
             sanitizer: self.sanitizer.state(),
-            interaction_faults: self.interaction_faults,
             last_seq: self.last_seq,
             outcome_counts: self.outcome_counts,
-            phase,
-            points,
+            interaction: self.engine.snapshot(),
         }
     }
 
-    /// Rebuilds a pipeline from a snapshot. The collection state
-    /// (extractor, jitter filter, gesture buffer) is reconstructed by
-    /// replaying the snapshot's points in order — the same deterministic
-    /// float accumulation the live pipeline performed — so a restored
-    /// pipeline's future output is byte-identical to one that never
-    /// stopped.
+    /// Rebuilds a pipeline from a snapshot. A restored pipeline's future
+    /// output is byte-identical to one that never stopped.
     pub fn restore(snapshot: &SessionSnapshot) -> Self {
         let mut p = Self::new(snapshot.session, snapshot.config.clone());
         p.sanitizer.restore_state(snapshot.sanitizer);
-        p.interaction_faults = snapshot.interaction_faults;
+        p.engine.restore(&snapshot.interaction);
         p.last_seq = snapshot.last_seq;
         p.outcome_counts = snapshot.outcome_counts;
-        p.phase = match snapshot.phase {
-            SnapshotPhase::Idle => Phase::Idle,
-            SnapshotPhase::Collecting => Phase::Collecting,
-            SnapshotPhase::Manipulating {
-                class,
-                total_points,
-            } => Phase::Manipulating {
-                class,
-                total_points,
-            },
-            SnapshotPhase::Draining {
-                outcome,
-                class,
-                total_points,
-            } => Phase::Draining {
-                outcome,
-                class,
-                total_points,
-            },
-        };
-        for point in &snapshot.points {
-            p.filter.accept(point);
-            p.gesture.push(*point);
-            p.extractor.update(*point);
-        }
         p
     }
+}
 
-    /// Immediate teardown (grab break or corrupted ending event): the
-    /// terminal outcome is emitted now and the pipeline returns to idle.
-    fn teardown(&mut self, seq: u32, out: &mut Vec<ServerFrame>) {
-        match std::mem::replace(&mut self.phase, Phase::Idle) {
-            Phase::Idle => {}
-            Phase::Collecting => {
-                self.finish_interaction(
-                    seq,
-                    OutcomeKind::Cancelled,
-                    None,
-                    self.gesture.len() as u32,
-                    out,
-                );
-            }
-            Phase::Manipulating {
-                class,
-                total_points,
-            } => {
-                self.finish_interaction(seq, OutcomeKind::Cancelled, Some(class), total_points, out);
-            }
-            Phase::Draining {
-                outcome,
-                class,
-                total_points,
-            } => {
-                self.finish_interaction(seq, outcome, class, total_points, out);
-            }
+/// The frames of one triggering event: the engine's steps, encoded for
+/// the wire as the engine emits them.
+struct Frames<'a> {
+    session: u64,
+    seq: u32,
+    out: &'a mut Vec<ServerFrame>,
+    outcome_counts: &'a mut [u32; OUTCOME_KIND_COUNT],
+}
+
+// lint:hot-path start — per-event steady state: no panics, no allocation
+impl Frames<'_> {
+    /// Counts and emits one `Outcome` frame.
+    fn outcome(
+        &mut self,
+        outcome: OutcomeKind,
+        class: Option<u16>,
+        total_points: u32,
+        faults: u32,
+    ) {
+        if let Some(counter) = self.outcome_counts.get_mut(outcome_index(outcome)) {
+            *counter = counter.saturating_add(1);
         }
+        self.out.push(ServerFrame::Outcome {
+            session: self.session,
+            seq: self.seq,
+            outcome,
+            class,
+            total_points,
+            faults,
+        });
     }
 }
 
-/// The interaction phase as carried by a [`SessionSnapshot`] — the
-/// public mirror of the pipeline's private state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotPhase {
-    /// No interaction in progress.
-    Idle,
-    /// Collecting gesture points (the snapshot's points are the
-    /// collection so far).
-    Collecting,
-    /// Mid-manipulation after an eager classification.
-    Manipulating {
-        /// The committed class.
-        class: u16,
-        /// Points seen when the phase was entered, plus manipulation
-        /// moves since.
-        total_points: u32,
-    },
-    /// Terminal outcome decided, waiting for the interaction to end.
-    Draining {
-        /// The held outcome.
-        outcome: OutcomeKind,
-        /// The class it carries, if any.
-        class: Option<u16>,
-        /// Points the outcome reports.
-        total_points: u32,
-    },
+impl StepSink for Frames<'_> {
+    // Inlined into each emitting site of the engine, the match folds to a
+    // single frame push. Left as a call, it cost the perfbench recognize
+    // workload about 10 ns per manipulation event (2-core x86-64 VM).
+    #[inline(always)]
+    fn push(&mut self, step: Step) {
+        let (session, seq) = (self.session, self.seq);
+        match step {
+            Step::Fault(fault) => self.out.push(ServerFrame::Fault {
+                session,
+                seq,
+                code: fault_code_of(&fault),
+            }),
+            // A mouse-up commit is reported by its outcome alone.
+            Step::Classified {
+                transition,
+                class: Some(class),
+                points,
+            } if transition != PhaseTransition::MouseUp => {
+                self.out.push(ServerFrame::Recognized {
+                    session,
+                    seq,
+                    class,
+                    points,
+                });
+            }
+            Step::Classified { .. } => {}
+            Step::Manipulate { x, y, .. } => {
+                self.out
+                    .push(ServerFrame::Manipulate { session, seq, x, y })
+            }
+            Step::Outcome {
+                outcome,
+                class,
+                total_points,
+                faults,
+            } => self.outcome(outcome.into(), class, total_points, faults),
+        }
+    }
 }
+// lint:hot-path end
 
 /// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -708,8 +363,9 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// A versioned, byte-stable capture of one [`SessionPipeline`]'s
-/// recoverable state: config, sanitizer state, phase, fault charge,
-/// resume cursor, outcome counters, and the in-flight gesture points.
+/// recoverable state: config, sanitizer state, resume cursor, outcome
+/// counters, and the interaction engine's phase, fault charge and
+/// in-flight gesture points.
 ///
 /// The binary layout ([`SessionSnapshot::encode`] /
 /// [`SessionSnapshot::decode`]) is the on-disk format the WAL's
@@ -724,17 +380,13 @@ pub struct SessionSnapshot {
     pub config: PipelineConfig,
     /// The sanitizer's mid-stream state.
     pub sanitizer: SanitizerState,
-    /// Faults charged to the interaction in progress.
-    pub interaction_faults: u32,
     /// Highest event `seq` processed (the resume cursor).
     pub last_seq: u32,
     /// Outcomes emitted so far, indexed Recognized, Manipulated,
     /// Cancelled, Rejected, Closed.
     pub outcome_counts: [u32; OUTCOME_KIND_COUNT],
-    /// The interaction phase.
-    pub phase: SnapshotPhase,
-    /// The in-flight gesture's collected points (empty when idle).
-    pub points: Vec<Point>,
+    /// The interaction engine's state.
+    pub interaction: InteractionSnapshot,
 }
 
 // Flag bits of the snapshot header byte.
@@ -766,10 +418,11 @@ impl SessionSnapshot {
         put_u16(out, Self::VERSION);
         put_u64(out, self.session);
         let mut flags = 0u8;
-        if self.config.eager {
+        let interaction = &self.config.interaction;
+        if interaction.eager {
             flags |= SNAP_EAGER;
         }
-        if self.config.min_probability.is_some() {
+        if interaction.min_probability.is_some() {
             flags |= SNAP_HAS_MIN_PROB;
         }
         if self.sanitizer.last_t.is_some() {
@@ -782,11 +435,11 @@ impl SessionSnapshot {
             flags |= SNAP_INTERACTION_OPEN;
         }
         out.push(flags);
-        put_f64(out, self.config.min_point_distance);
-        if let Some(p) = self.config.min_probability {
+        put_f64(out, interaction.min_point_distance);
+        if let Some(p) = interaction.min_probability {
             put_f64(out, p);
         }
-        put_u32(out, self.config.fault_budget);
+        put_u32(out, interaction.fault_budget);
         put_f64(out, self.config.sanitizer.reorder_window_ms);
         put_f64(out, self.config.sanitizer.grab_timeout_ms);
         if let Some(t) = self.sanitizer.last_t {
@@ -796,15 +449,15 @@ impl SessionSnapshot {
             put_f64(out, x);
             put_f64(out, y);
         }
-        put_u32(out, self.interaction_faults);
+        put_u32(out, self.interaction.faults);
         put_u32(out, self.last_seq);
         for count in self.outcome_counts {
             put_u32(out, count);
         }
-        match self.phase {
-            SnapshotPhase::Idle => out.push(SNAP_PHASE_IDLE),
-            SnapshotPhase::Collecting => out.push(SNAP_PHASE_COLLECTING),
-            SnapshotPhase::Manipulating {
+        match self.interaction.phase {
+            Phase::Idle => out.push(SNAP_PHASE_IDLE),
+            Phase::Collecting => out.push(SNAP_PHASE_COLLECTING),
+            Phase::Manipulating {
                 class,
                 total_points,
             } => {
@@ -812,19 +465,19 @@ impl SessionSnapshot {
                 put_u16(out, class);
                 put_u32(out, total_points);
             }
-            SnapshotPhase::Draining {
+            Phase::Draining {
                 outcome,
                 class,
                 total_points,
             } => {
                 out.push(SNAP_PHASE_DRAINING);
-                out.push(outcome_index(outcome) as u8);
+                out.push(outcome_index(InteractionOutcome::from(outcome).into()) as u8);
                 put_u16(out, class.unwrap_or(NO_CLASS));
                 put_u32(out, total_points);
             }
         }
-        put_u32(out, self.points.len() as u32);
-        for p in &self.points {
+        put_u32(out, self.interaction.points.len() as u32);
+        for p in &self.interaction.points {
             put_f64(out, p.x);
             put_f64(out, p.y);
             put_f64(out, p.t);
@@ -860,26 +513,25 @@ impl SessionSnapshot {
         } else {
             None
         };
-        let interaction_faults = cur.u32("interaction faults")?;
+        let faults = cur.u32("interaction faults")?;
         let last_seq = cur.u32("last seq")?;
         let mut outcome_counts = [0u32; OUTCOME_KIND_COUNT];
         for count in outcome_counts.iter_mut() {
             *count = cur.u32("outcome count")?;
         }
         let phase = match cur.u8("phase tag")? {
-            SNAP_PHASE_IDLE => SnapshotPhase::Idle,
-            SNAP_PHASE_COLLECTING => SnapshotPhase::Collecting,
-            SNAP_PHASE_MANIPULATING => SnapshotPhase::Manipulating {
+            SNAP_PHASE_IDLE => Phase::Idle,
+            SNAP_PHASE_COLLECTING => Phase::Collecting,
+            SNAP_PHASE_MANIPULATING => Phase::Manipulating {
                 class: cur.u16("phase class")?,
                 total_points: cur.u32("phase points")?,
             },
             SNAP_PHASE_DRAINING => {
+                // Only Cancelled and Rejected are ever held while
+                // draining; any other outcome index is forged.
                 let outcome = match cur.u8("phase outcome")? {
-                    0 => OutcomeKind::Recognized,
-                    1 => OutcomeKind::Manipulated,
-                    2 => OutcomeKind::Cancelled,
-                    3 => OutcomeKind::Rejected,
-                    4 => OutcomeKind::Closed,
+                    2 => DrainOutcome::Cancelled,
+                    3 => DrainOutcome::Rejected,
                     value => {
                         return Err(WireError::BadEnum {
                             what: "phase outcome",
@@ -892,7 +544,7 @@ impl SessionSnapshot {
                     NO_CLASS => None,
                     c => Some(c),
                 };
-                SnapshotPhase::Draining {
+                Phase::Draining {
                     outcome,
                     class,
                     total_points: cur.u32("phase points")?,
@@ -929,10 +581,12 @@ impl SessionSnapshot {
         let snapshot = Self {
             session,
             config: PipelineConfig {
-                eager: flags & SNAP_EAGER != 0,
-                min_point_distance,
-                min_probability,
-                fault_budget,
+                interaction: InteractionConfig {
+                    eager: flags & SNAP_EAGER != 0,
+                    min_point_distance,
+                    min_probability,
+                    fault_budget,
+                },
                 sanitizer: SanitizerConfig {
                     reorder_window_ms,
                     grab_timeout_ms,
@@ -943,11 +597,13 @@ impl SessionSnapshot {
                 last_pos,
                 interaction_open: flags & SNAP_INTERACTION_OPEN != 0,
             },
-            interaction_faults,
             last_seq,
             outcome_counts,
-            phase,
-            points,
+            interaction: InteractionSnapshot {
+                phase,
+                faults,
+                points,
+            },
         };
         Ok((snapshot, cur.consumed()))
     }
@@ -1136,7 +792,10 @@ mod tests {
     fn snapshot_restore_preserves_outcome_counts_and_faulted_state() {
         let rec = recognizer();
         let config = PipelineConfig {
-            min_probability: Some(0.25),
+            interaction: InteractionConfig {
+                min_probability: Some(0.25),
+                ..InteractionConfig::default()
+            },
             ..PipelineConfig::default()
         };
         let clean: Vec<InputEvent> = clean_stream(3).into_iter().map(|(_, e)| e).collect();
@@ -1181,13 +840,44 @@ mod tests {
         let len = bytes.len();
         bytes[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(SessionSnapshot::decode(&bytes).is_err());
+        // A draining phase only ever holds Cancelled (2) or Rejected (3).
+        // Any other outcome is forged: a held Closed would let `close`
+        // emit a second Closed.
+        let mut draining = SessionPipeline::new(5, PipelineConfig::default()).snapshot();
+        draining.interaction.phase = Phase::Draining {
+            outcome: DrainOutcome::Rejected,
+            class: None,
+            total_points: 0,
+        };
+        let mut bytes = Vec::new();
+        draining.encode(&mut bytes);
+        // Outcome byte: tag, then outcome, class (u16), points (u32) and
+        // the point count (u32) close the encoding.
+        let outcome_at = bytes.len() - 4 - 4 - 2 - 1;
+        assert_eq!(bytes[outcome_at - 1], SNAP_PHASE_DRAINING);
+        assert_eq!(bytes[outcome_at], 3);
+        assert!(SessionSnapshot::decode(&bytes).is_ok());
+        for forged in [0u8, 1, 4, 5, 0xFF] {
+            bytes[outcome_at] = forged;
+            assert_eq!(
+                SessionSnapshot::decode(&bytes),
+                Err(SnapshotError::Wire(WireError::BadEnum {
+                    what: "phase outcome",
+                    value: forged,
+                })),
+                "outcome index {forged}"
+            );
+        }
     }
 
     #[test]
     fn fault_budget_cancels_interaction() {
         let rec = recognizer();
         let config = PipelineConfig {
-            fault_budget: 1,
+            interaction: InteractionConfig {
+                fault_budget: 1,
+                ..InteractionConfig::default()
+            },
             ..PipelineConfig::default()
         };
         let mut pipeline = SessionPipeline::new(4, config);

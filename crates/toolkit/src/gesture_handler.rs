@@ -7,64 +7,28 @@
 //! determining when the phase transition occurs, classifying the gesture,
 //! and executing the gesture's semantics."
 //!
-//! The phase transition happens at the first of (§1):
-//!
-//! 1. the mouse button is released (the manipulation phase is omitted),
-//! 2. a 200 ms motionless timeout (delivered as a synthesized
-//!    [`grandma_events::EventKind::Timeout`] — see
-//!    [`grandma_events::DwellDetector`]), or
-//! 3. *eager recognition*: the collected prefix becomes unambiguous.
-//!
-//! On the transition the gesture is classified and the class's `recog`
-//! expression is evaluated (its value bound to the variable `recog`);
-//! every further mouse point evaluates `manip`; releasing the button
-//! evaluates `done`.
+//! Collecting, the phase transition and classification are the
+//! [`InteractionEngine`]'s (see [`grandma_core::interaction`] for the
+//! state machine and its three transition triggers); this handler is the
+//! toolkit adapter over it. It filters by button and view, captures the
+//! target view, and executes the semantics: on the transition the gesture
+//! is classified and the class's `recog` expression is evaluated (its
+//! value bound to the variable `recog`); every further mouse point
+//! evaluates `manip`; releasing the button evaluates `done`.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use grandma_core::{EagerRecognizer, FeatureExtractor, PointFilter};
+use grandma_core::interaction::{
+    InteractionConfig, InteractionEngine, InteractionOutcome, Phase, PhaseTransition, Step,
+};
+use grandma_core::EagerRecognizer;
 use grandma_events::{Button, EventKind, InputEvent, StreamFault};
-use grandma_geom::{Gesture, Point};
+use grandma_geom::Gesture;
 use grandma_sem::{eval, GestureSemantics, SemError, Value};
 
 use crate::handler::{Ctx, EventHandler, HandlerResult};
 use crate::view::{ViewId, ViewStore};
-
-/// How the collection→manipulation transition happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhaseTransition {
-    /// The prefix became unambiguous (transition 3).
-    Eager,
-    /// The 200 ms dwell timeout fired (transition 2).
-    Timeout,
-    /// The button was released first (transition 1; no manipulation
-    /// phase).
-    MouseUp,
-    /// No transition ever happened: the interaction was cancelled while
-    /// still collecting (grab break or fault budget exhausted).
-    Aborted,
-}
-
-/// The terminal state every gesture interaction reaches — exactly one of
-/// these per [`InteractionTrace`], no matter how malformed the event
-/// stream was.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InteractionOutcome {
-    /// Classified at mouse-up; the manipulation phase was omitted.
-    Recognized,
-    /// Classified mid-gesture (eager or timeout) and the manipulation
-    /// phase ran to a clean mouse-up.
-    Manipulated,
-    /// Classification declined to act: estimated probability below
-    /// [`GestureHandlerConfig::min_probability`], or the collected
-    /// gesture's features were non-finite/degenerate.
-    Rejected,
-    /// The interaction was torn down without running its remaining
-    /// semantics: a [`EventKind::GrabBreak`] arrived, or the per-
-    /// interaction fault budget was exhausted.
-    Cancelled,
-}
 
 /// One gesture class the handler recognizes: its name plus its
 /// `recog`/`manip`/`done` semantics.
@@ -99,35 +63,22 @@ impl GestureClass {
 pub struct GestureHandlerConfig {
     /// Which button starts a gesture.
     pub button: Button,
-    /// Whether eager recognition (transition 3) is enabled. Figure 3's
-    /// walkthrough has it off; §5's evaluations have it on.
-    pub eager: bool,
-    /// Jitter filter: collected points closer than this to the previous
-    /// kept point are discarded (Rubine used 3 px).
-    pub min_point_distance: f64,
     /// Whether a mouse-down over the background (no view) starts a
     /// gesture. GDP gestures at the top window, so `true` there.
     pub over_background: bool,
-    /// Optional rejection: minimum estimated probability for the
-    /// classification to be acted upon.
-    pub min_probability: Option<f64>,
-    /// Maximum number of stream faults tolerated within one interaction
-    /// (non-finite samples seen by the handler plus any faults reported
-    /// via [`GestureHandler::note_faults`]). Exceeding it cancels the
-    /// interaction: a corrupted-beyond-repair stream must not be
-    /// classified.
-    pub fault_budget: usize,
+    /// The engine settings: eager recognition, jitter filter, rejection
+    /// threshold, and fault budget (non-finite samples seen by the
+    /// handler plus any faults reported via
+    /// [`GestureHandler::note_faults`]).
+    pub interaction: InteractionConfig,
 }
 
 impl Default for GestureHandlerConfig {
     fn default() -> Self {
         Self {
             button: Button::Left,
-            eager: true,
-            min_point_distance: 3.0,
             over_background: true,
-            min_probability: None,
-            fault_budget: 8,
+            interaction: InteractionConfig::default(),
         }
     }
 }
@@ -158,39 +109,13 @@ pub struct InteractionTrace {
     pub faults: Vec<StreamFault>,
 }
 
-/// The per-interaction session state machine.
-///
-/// ```text
-/// Idle ──down──▶ Collecting ──transition──▶ Manipulating ──up──▶ Idle
-///   ▲                │  │                       │    │
-///   │                │  └──up (recognize/reject at up)──────────▶ Idle
-///   │                └────grab-break / budget──▶ Draining ──end──┘
-///   └──────grab-break / budget (from Manipulating) via Draining───┘
-/// ```
-///
-/// `Draining` is the cancelled-but-still-grabbed state: the trace is
-/// final (outcome [`InteractionOutcome::Cancelled`] or
-/// [`InteractionOutcome::Rejected`]), no further semantics run, and the
-/// handler swallows events until one that
-/// [ends the interaction](InputEvent::ends_interaction) returns it to
-/// `Idle`. Every path terminates in `Idle`.
-enum State {
-    Idle,
-    Collecting {
-        gesture: Gesture,
-        extractor: FeatureExtractor,
-        filter: PointFilter,
-        target: Option<ViewId>,
-    },
-    Manipulating {
-        trace: InteractionTrace,
-        semantics: GestureSemantics,
-        attrs: HashMap<String, Value>,
-        total_points: usize,
-    },
-    Draining {
-        trace: InteractionTrace,
-    },
+/// An interaction past its phase transition: its trace so far, and for an
+/// accepted class the semantics and gestural attributes `manip` and
+/// `done` run against.
+struct Committed {
+    trace: InteractionTrace,
+    semantics: GestureSemantics,
+    attrs: HashMap<String, Value>,
 }
 
 /// The gesture handler. Attach to a view, a view class, or the root
@@ -199,8 +124,14 @@ enum State {
 pub struct GestureHandler {
     recognizer: Rc<EagerRecognizer>,
     classes: Vec<GestureClass>,
-    config: GestureHandlerConfig,
-    state: State,
+    button: Button,
+    over_background: bool,
+    engine: InteractionEngine,
+    /// Engine step scratch, reused across events.
+    steps: Vec<Step>,
+    /// The view the interaction in progress started at.
+    target: Option<ViewId>,
+    committed: Option<Committed>,
     traces: Vec<InteractionTrace>,
     /// Fault log of the interaction in progress; attached to its trace
     /// when the interaction reaches a terminal state.
@@ -229,8 +160,12 @@ impl GestureHandler {
         Self {
             recognizer,
             classes,
-            config,
-            state: State::Idle,
+            button: config.button,
+            over_background: config.over_background,
+            engine: InteractionEngine::new(config.interaction),
+            steps: Vec::new(),
+            target: None,
+            committed: None,
             traces: Vec::new(),
             faults: Vec::new(),
         }
@@ -249,253 +184,234 @@ impl GestureHandler {
     /// `true` while an interaction is in progress (any non-idle state,
     /// including the cancelled-but-still-grabbed drain).
     pub fn interaction_in_progress(&self) -> bool {
-        !matches!(self.state, State::Idle)
+        self.engine.in_progress()
     }
 
     /// Reports stream faults (typically from an upstream
     /// [`grandma_events::EventSanitizer`]) against the interaction in
     /// progress. They are attached to the interaction's trace and count
-    /// toward [`GestureHandlerConfig::fault_budget`]; exhausting the
-    /// budget cancels the interaction. Faults reported while idle are
-    /// dropped — there is no interaction to charge them to.
+    /// toward [`InteractionConfig::fault_budget`]; exhausting the budget
+    /// cancels the interaction. Faults reported while idle are dropped —
+    /// there is no interaction to charge them to.
     pub fn note_faults(&mut self, faults: &[StreamFault]) {
-        if faults.is_empty() || matches!(self.state, State::Idle) {
+        if faults.is_empty() || !self.engine.in_progress() {
             return;
         }
         self.faults.extend_from_slice(faults);
-        self.enforce_fault_budget();
+        self.engine
+            .charge(u32::try_from(faults.len()).unwrap_or(u32::MAX));
     }
 
-    /// Records one handler-detected fault and applies the budget.
-    fn record_fault(&mut self, fault: StreamFault) {
-        self.faults.push(fault);
-        self.enforce_fault_budget();
-    }
-
-    /// Cancels the in-progress interaction when the fault budget is
-    /// exhausted: the trace becomes final with
-    /// [`InteractionOutcome::Cancelled`] and the handler drains the rest
-    /// of the grab.
-    fn enforce_fault_budget(&mut self) {
-        if self.faults.len() <= self.config.fault_budget {
-            return;
-        }
-        match std::mem::replace(&mut self.state, State::Idle) {
-            State::Idle => {}
-            State::Collecting { gesture, .. } => {
-                self.state = State::Draining {
-                    trace: Self::cancelled_trace(gesture.len()),
-                };
+    /// A mouse-down or mouse-up of another button that the engine must
+    /// not see: one that would start a gesture, or a finite one that would
+    /// commit or end it. Corrupted events, and any end of a drain, still
+    /// go to the engine.
+    fn other_button(&self, event: &InputEvent) -> bool {
+        let button = match event.kind {
+            EventKind::MouseDown { button } | EventKind::MouseUp { button } => button,
+            _ => return false,
+        };
+        button != self.button
+            && match self.engine.phase() {
+                Phase::Idle => event.is_down(),
+                Phase::Collecting | Phase::Manipulating { .. } => {
+                    event.is_up() && event.is_finite()
+                }
+                Phase::Draining { .. } => false,
             }
-            State::Manipulating {
-                mut trace,
+    }
+
+    /// Acts on one engine step.
+    fn apply(&mut self, step: Step, ctx: &mut Ctx<'_>) {
+        match step {
+            Step::Fault(fault) => self.faults.push(fault),
+            Step::Classified {
+                transition,
+                class,
+                points,
+            } => self.commit(transition, class.map(usize::from), points as usize, ctx),
+            Step::Manipulate { x, y, t } => self.manipulate(x, y, t, ctx),
+            Step::Outcome {
+                outcome,
                 total_points,
                 ..
-            } => {
-                trace.outcome = InteractionOutcome::Cancelled;
-                trace.total_points = total_points;
-                self.state = State::Draining { trace };
-            }
-            State::Draining { trace } => self.state = State::Draining { trace },
+            } => self.finish(outcome, total_points as usize, ctx),
         }
     }
 
-    /// Cancels the in-progress interaction *now* (grab break or corrupted
-    /// ending event): the trace is finalized with
-    /// [`InteractionOutcome::Cancelled`] and the handler returns to idle.
-    fn cancel_interaction(&mut self) {
-        match std::mem::replace(&mut self.state, State::Idle) {
-            State::Idle => {}
-            State::Collecting { gesture, .. } => {
-                self.finish_interaction(Self::cancelled_trace(gesture.len()));
-            }
-            State::Manipulating {
-                mut trace,
-                total_points,
-                ..
-            } => {
-                trace.outcome = InteractionOutcome::Cancelled;
-                trace.total_points = total_points;
-                self.finish_interaction(trace);
-            }
-            State::Draining { trace } => self.finish_interaction(trace),
-        }
-    }
-
-    /// The trace of an interaction cancelled before any phase transition.
-    fn cancelled_trace(points: usize) -> InteractionTrace {
-        InteractionTrace {
-            class: None,
-            class_name: "?".to_string(),
-            transition: PhaseTransition::Aborted,
+    /// The phase transition: start the trace and, for an accepted class,
+    /// evaluate `recog`.
+    fn commit(
+        &mut self,
+        transition: PhaseTransition,
+        class: Option<usize>,
+        points: usize,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let class = class.and_then(|c| self.classes.get(c).map(|gc| (c, gc)));
+        let mut trace = InteractionTrace {
+            class: class.map(|(c, _)| c),
+            class_name: class.map_or("?", |(_, gc)| &gc.name).to_string(),
+            transition,
             points_at_recognition: points,
             total_points: points,
             manip_evaluations: 0,
             errors: Vec::new(),
-            outcome: InteractionOutcome::Cancelled,
-            faults: Vec::new(),
-        }
-    }
-
-    /// Finalizes an interaction: attaches the fault log, records the
-    /// trace, and returns to idle. The single exit point of the state
-    /// machine.
-    fn finish_interaction(&mut self, mut trace: InteractionTrace) {
-        trace.faults = std::mem::take(&mut self.faults);
-        self.traces.push(trace);
-        self.state = State::Idle;
-    }
-
-    /// Builds the gestural attribute map at the moment of recognition.
-    fn attrs_at_recognition(gesture: &Gesture, views: &ViewStore) -> HashMap<String, Value> {
-        let mut attrs = HashMap::new();
-        if let (Some(first), Some(last)) = (gesture.first(), gesture.last()) {
-            attrs.insert("startX".into(), Value::Num(first.x));
-            attrs.insert("startY".into(), Value::Num(first.y));
-            attrs.insert("startT".into(), Value::Num(first.t));
-            attrs.insert("currentX".into(), Value::Num(last.x));
-            attrs.insert("currentY".into(), Value::Num(last.y));
-            attrs.insert("endX".into(), Value::Num(last.x));
-            attrs.insert("endY".into(), Value::Num(last.y));
-            attrs.insert("prevX".into(), Value::Num(last.x));
-            attrs.insert("prevY".into(), Value::Num(last.y));
-            attrs.insert("duration".into(), Value::Num(gesture.duration()));
-            // Bounding-box attributes of the collected stroke: GDP's
-            // ellipse centers itself on the gesture's extent.
-            let bbox = gesture.bbox();
-            let center = bbox.center();
-            attrs.insert("centerX".into(), Value::Num(center.x));
-            attrs.insert("centerY".into(), Value::Num(center.y));
-            attrs.insert("halfWidth".into(), Value::Num(bbox.width() / 2.0));
-            attrs.insert("halfHeight".into(), Value::Num(bbox.height() / 2.0));
-            attrs.insert("bboxMinX".into(), Value::Num(bbox.min_x));
-            attrs.insert("bboxMinY".into(), Value::Num(bbox.min_y));
-            attrs.insert("bboxMaxX".into(), Value::Num(bbox.max_x));
-            attrs.insert("bboxMaxY".into(), Value::Num(bbox.max_y));
-            // Attributes the "modified GDP" maps to application
-            // parameters: stroke length (line thickness) and initial angle
-            // (rectangle orientation).
-            attrs.insert("length".into(), Value::Num(gesture.path_length()));
-            let third = gesture.points().get(2).copied().unwrap_or(*last);
-            attrs.insert(
-                "initialAngle".into(),
-                Value::Num((third.y - first.y).atan2(third.x - first.x)),
-            );
-            // The set of models fully enclosed by the gesture's bounding
-            // box (GDP's group operand).
-            let enclosed: Vec<Value> = views
-                .enclosed_by(&gesture.bbox())
-                .into_iter()
-                .filter_map(|id| views.get(id).and_then(|v| v.model.clone()))
-                .map(Value::Obj)
-                .collect();
-            attrs.insert("enclosed".into(), Value::List(enclosed));
-        }
-        attrs
-    }
-
-    fn install_attrs(attrs: &HashMap<String, Value>, ctx: &mut Ctx<'_>) {
-        let shared: Rc<HashMap<String, Value>> = Rc::new(attrs.clone());
-        ctx.env
-            .set_attr_source(Rc::new(move |name| shared.get(name).cloned()));
-    }
-
-    /// Performs the phase transition: classify, evaluate `recog`, move to
-    /// the manipulation phase (unless the interaction already ended).
-    ///
-    /// Classification goes through the checked path: a gesture whose
-    /// features come out non-finite (corrupted or degenerate input) is
-    /// rejected explicitly rather than argmaxed over NaN.
-    fn transition(
-        &mut self,
-        gesture: Gesture,
-        target: Option<ViewId>,
-        trigger: PhaseTransition,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let classification = self.recognizer.classify_full_checked(&gesture);
-        let rejected = match &classification {
-            None => true,
-            Some(c) => self
-                .config
-                .min_probability
-                .is_some_and(|p| c.probability < p),
-        };
-        let mut trace = InteractionTrace {
-            class: if rejected {
-                None
-            } else {
-                classification.as_ref().map(|c| c.class)
-            },
-            class_name: match (&classification, rejected) {
-                (Some(c), false) => self.classes[c.class].name.clone(),
-                _ => "?".to_string(),
-            },
-            transition: trigger,
-            points_at_recognition: gesture.len(),
-            total_points: gesture.len(),
-            manip_evaluations: 0,
-            errors: Vec::new(),
-            outcome: if rejected {
-                InteractionOutcome::Rejected
-            } else if trigger == PhaseTransition::MouseUp {
-                InteractionOutcome::Recognized
-            } else {
-                InteractionOutcome::Manipulated
-            },
+            // Set when the interaction ends.
+            outcome: InteractionOutcome::Rejected,
             faults: Vec::new(),
         };
-        let Some(classification) = classification else {
-            // Non-finite features: reject. The grab may still be live
-            // (eager/timeout trigger), so drain until the stream ends the
-            // interaction.
-            if trigger == PhaseTransition::MouseUp {
-                self.finish_interaction(trace);
-            } else {
-                self.state = State::Draining { trace };
-            }
+        let Some((_, gesture_class)) = class else {
+            self.committed = Some(Committed {
+                trace,
+                semantics: GestureSemantics::noop(),
+                attrs: HashMap::new(),
+            });
             return;
         };
-        if rejected {
-            if trigger == PhaseTransition::MouseUp {
-                self.finish_interaction(trace);
-            } else {
-                self.state = State::Draining { trace };
-            }
-            return;
-        }
-        let semantics = self.classes[classification.class].semantics.clone();
-        let attrs = Self::attrs_at_recognition(&gesture, ctx.views);
+        let semantics = gesture_class.semantics.clone();
+        let attrs = attrs_at_recognition(self.engine.gesture(), ctx.views);
         // Bind `view` to the target view's model when it has one;
         // otherwise leave the application's existing binding (GDP binds
         // `view` to its top-level window object).
-        if let Some(model) = target
+        if let Some(model) = self
+            .target
             .and_then(|id| ctx.views.get(id))
             .and_then(|v| v.model.clone())
         {
             ctx.env.bind("view", Value::Obj(model));
         }
-        Self::install_attrs(&attrs, ctx);
+        install_attrs(&attrs, ctx);
         match eval(&semantics.recog, ctx.env) {
             Ok(value) => ctx.env.bind("recog", value),
             Err(e) => trace.errors.push(e),
         }
-        if trigger == PhaseTransition::MouseUp {
-            // Manipulation omitted; run `done` immediately.
-            match eval(&semantics.done, ctx.env) {
-                Ok(_) => {}
-                Err(e) => trace.errors.push(e),
-            }
-            self.finish_interaction(trace);
-        } else {
-            self.state = State::Manipulating {
-                trace,
-                semantics,
-                attrs,
-                total_points: gesture.len(),
-            };
+        self.committed = Some(Committed {
+            trace,
+            semantics,
+            attrs,
+        });
+    }
+
+    /// One manipulation-phase move: update the pointer attributes and
+    /// evaluate `manip`.
+    fn manipulate(&mut self, x: f64, y: f64, t: f64, ctx: &mut Ctx<'_>) {
+        let Some(Committed {
+            trace,
+            semantics,
+            attrs,
+        }) = &mut self.committed
+        else {
+            return;
+        };
+        // The previous mouse position, so `manip` semantics can express
+        // incremental dragging (`moveFromX:y:toX:y:`).
+        let prev_x = attrs.get("currentX").cloned().unwrap_or(Value::Num(x));
+        let prev_y = attrs.get("currentY").cloned().unwrap_or(Value::Num(y));
+        attrs.insert("prevX".into(), prev_x);
+        attrs.insert("prevY".into(), prev_y);
+        attrs.insert("currentX".into(), Value::Num(x));
+        attrs.insert("currentY".into(), Value::Num(y));
+        attrs.insert("currentT".into(), Value::Num(t));
+        install_attrs(attrs, ctx);
+        match eval(&semantics.manip, ctx.env) {
+            Ok(_) => trace.manip_evaluations += 1,
+            Err(e) => trace.errors.push(e),
         }
     }
+
+    /// Finalizes the interaction: runs `done` after a clean end, attaches
+    /// the fault log, and records the trace.
+    fn finish(&mut self, outcome: InteractionOutcome, total_points: usize, ctx: &mut Ctx<'_>) {
+        let mut trace = match self.committed.take() {
+            Some(Committed {
+                mut trace,
+                semantics,
+                attrs,
+            }) => {
+                if matches!(
+                    outcome,
+                    InteractionOutcome::Recognized | InteractionOutcome::Manipulated
+                ) {
+                    install_attrs(&attrs, ctx);
+                    if let Err(e) = eval(&semantics.done, ctx.env) {
+                        trace.errors.push(e);
+                    }
+                }
+                trace
+            }
+            // Cancelled before any phase transition.
+            None => InteractionTrace {
+                class: None,
+                class_name: "?".to_string(),
+                transition: PhaseTransition::Aborted,
+                points_at_recognition: total_points,
+                total_points,
+                manip_evaluations: 0,
+                errors: Vec::new(),
+                outcome,
+                faults: Vec::new(),
+            },
+        };
+        trace.outcome = outcome;
+        trace.total_points = total_points;
+        trace.faults = std::mem::take(&mut self.faults);
+        self.traces.push(trace);
+    }
+}
+
+/// Builds the gestural attribute map at the moment of recognition.
+fn attrs_at_recognition(gesture: &Gesture, views: &ViewStore) -> HashMap<String, Value> {
+    let mut attrs = HashMap::new();
+    if let (Some(first), Some(last)) = (gesture.first(), gesture.last()) {
+        attrs.insert("startX".into(), Value::Num(first.x));
+        attrs.insert("startY".into(), Value::Num(first.y));
+        attrs.insert("startT".into(), Value::Num(first.t));
+        attrs.insert("currentX".into(), Value::Num(last.x));
+        attrs.insert("currentY".into(), Value::Num(last.y));
+        attrs.insert("endX".into(), Value::Num(last.x));
+        attrs.insert("endY".into(), Value::Num(last.y));
+        attrs.insert("prevX".into(), Value::Num(last.x));
+        attrs.insert("prevY".into(), Value::Num(last.y));
+        attrs.insert("duration".into(), Value::Num(gesture.duration()));
+        // Bounding-box attributes of the collected stroke: GDP's
+        // ellipse centers itself on the gesture's extent.
+        let bbox = gesture.bbox();
+        let center = bbox.center();
+        attrs.insert("centerX".into(), Value::Num(center.x));
+        attrs.insert("centerY".into(), Value::Num(center.y));
+        attrs.insert("halfWidth".into(), Value::Num(bbox.width() / 2.0));
+        attrs.insert("halfHeight".into(), Value::Num(bbox.height() / 2.0));
+        attrs.insert("bboxMinX".into(), Value::Num(bbox.min_x));
+        attrs.insert("bboxMinY".into(), Value::Num(bbox.min_y));
+        attrs.insert("bboxMaxX".into(), Value::Num(bbox.max_x));
+        attrs.insert("bboxMaxY".into(), Value::Num(bbox.max_y));
+        // Attributes the "modified GDP" maps to application
+        // parameters: stroke length (line thickness) and initial angle
+        // (rectangle orientation).
+        attrs.insert("length".into(), Value::Num(gesture.path_length()));
+        let third = gesture.points().get(2).copied().unwrap_or(*last);
+        attrs.insert(
+            "initialAngle".into(),
+            Value::Num((third.y - first.y).atan2(third.x - first.x)),
+        );
+        // The set of models fully enclosed by the gesture's bounding
+        // box (GDP's group operand).
+        let enclosed: Vec<Value> = views
+            .enclosed_by(&gesture.bbox())
+            .into_iter()
+            .filter_map(|id| views.get(id).and_then(|v| v.model.clone()))
+            .map(Value::Obj)
+            .collect();
+        attrs.insert("enclosed".into(), Value::List(enclosed));
+    }
+    attrs
+}
+
+fn install_attrs(attrs: &HashMap<String, Value>, ctx: &mut Ctx<'_>) {
+    let shared: Rc<HashMap<String, Value>> = Rc::new(attrs.clone());
+    ctx.env
+        .set_attr_source(Rc::new(move |name| shared.get(name).cloned()));
 }
 
 impl EventHandler for GestureHandler {
@@ -506,191 +422,29 @@ impl EventHandler for GestureHandler {
     fn wants(&self, event: &InputEvent, target: Option<ViewId>, _views: &ViewStore) -> bool {
         match event.kind {
             EventKind::MouseDown { button } => {
-                button == self.config.button && (self.config.over_background || target.is_some())
+                button == self.button && (self.over_background || target.is_some())
             }
-            _ => !matches!(self.state, State::Idle),
+            _ => self.engine.in_progress(),
         }
     }
 
     fn handle(&mut self, event: &InputEvent, ctx: &mut Ctx<'_>) -> HandlerResult {
-        let in_progress = !matches!(self.state, State::Idle);
-        // A corrupted sample never reaches collection or semantics. If it
-        // also ends the interaction (a NaN mouse-up), the end is honored
-        // as a cancellation — the kind is trustworthy, the payload is not.
-        if in_progress && !event.is_finite() {
-            let fault = if event.x.is_finite() && event.y.is_finite() {
-                StreamFault::NonFiniteTimestamp { repaired: false }
-            } else {
-                StreamFault::NonFiniteCoordinates {
-                    t: event.t,
-                    repaired: false,
-                }
-            };
-            self.record_fault(fault);
-            if event.ends_interaction() {
-                self.cancel_interaction();
+        let was_in_progress = self.engine.in_progress();
+        if !self.other_button(event) {
+            let mut steps = std::mem::take(&mut self.steps);
+            self.engine.step(&self.recognizer, *event, &mut steps);
+            if !was_in_progress && self.engine.in_progress() {
+                self.target = ctx.target;
             }
-            return HandlerResult::Consumed;
+            for step in steps.drain(..) {
+                self.apply(step, ctx);
+            }
+            self.steps = steps;
         }
-        // A grab break unconditionally tears down whatever is in
-        // progress; no further semantics run.
-        if event.is_grab_break() {
-            if in_progress {
-                self.cancel_interaction();
-                return HandlerResult::Consumed;
-            }
-            return HandlerResult::Ignored;
-        }
-        // Cancelled/rejected but still grabbed: swallow events until the
-        // stream ends the interaction.
-        if matches!(self.state, State::Draining { .. }) {
-            if event.ends_interaction() {
-                if let State::Draining { trace } =
-                    std::mem::replace(&mut self.state, State::Idle)
-                {
-                    self.finish_interaction(trace);
-                }
-            }
-            return HandlerResult::Consumed;
-        }
-        match (&mut self.state, event.kind) {
-            (State::Idle, EventKind::MouseDown { button })
-                if button == self.config.button && !event.is_finite() =>
-            {
-                // A corrupted down cannot anchor a gesture; stay idle.
-                HandlerResult::Ignored
-            }
-            (State::Idle, EventKind::MouseDown { button }) if button == self.config.button => {
-                let mut gesture = Gesture::new();
-                let mut extractor = FeatureExtractor::new();
-                let mut filter = PointFilter::new(self.config.min_point_distance);
-                let p = Point::new(event.x, event.y, event.t);
-                filter.accept(&p);
-                gesture.push(p);
-                extractor.update(p);
-                self.state = State::Collecting {
-                    gesture,
-                    extractor,
-                    filter,
-                    target: ctx.target,
-                };
-                HandlerResult::Consumed
-            }
-            (State::Idle, _) => HandlerResult::Ignored,
-            (
-                State::Collecting {
-                    gesture,
-                    extractor,
-                    filter,
-                    target,
-                },
-                EventKind::MouseMove,
-            ) => {
-                let p = Point::new(event.x, event.y, event.t);
-                if !filter.accept(&p) {
-                    return HandlerResult::Consumed;
-                }
-                gesture.push(p);
-                extractor.update(p);
-                let min_points = self.recognizer.config().min_subgesture_points;
-                if self.config.eager && extractor.count() >= min_points {
-                    let features =
-                        extractor.masked_features(self.recognizer.full_classifier().mask());
-                    if self.recognizer.auc().is_unambiguous(&features) {
-                        let gesture = std::mem::take(gesture);
-                        let target = *target;
-                        self.transition(gesture, target, PhaseTransition::Eager, ctx);
-                    }
-                }
-                HandlerResult::Consumed
-            }
-            (
-                State::Collecting {
-                    gesture, target, ..
-                },
-                EventKind::Timeout,
-            ) => {
-                let gesture = std::mem::take(gesture);
-                let target = *target;
-                self.transition(gesture, target, PhaseTransition::Timeout, ctx);
-                HandlerResult::Consumed
-            }
-            (
-                State::Collecting {
-                    gesture, target, ..
-                },
-                EventKind::MouseUp { button },
-            ) if button == self.config.button => {
-                let gesture = std::mem::take(gesture);
-                let target = *target;
-                self.transition(gesture, target, PhaseTransition::MouseUp, ctx);
-                HandlerResult::Consumed
-            }
-            (State::Collecting { .. }, EventKind::MouseDown { .. }) => {
-                // A second down mid-collection is a stream defect (the
-                // sanitizer demotes these upstream); on the raw path it is
-                // recorded and otherwise ignored.
-                self.record_fault(StreamFault::DuplicateMouseDown { t: event.t });
-                HandlerResult::Consumed
-            }
-            (State::Collecting { .. }, _) => HandlerResult::Consumed,
-            (
-                State::Manipulating {
-                    trace,
-                    semantics,
-                    attrs,
-                    total_points,
-                },
-                EventKind::MouseMove,
-            ) => {
-                *total_points += 1;
-                // The previous mouse position, so `manip` semantics can
-                // express incremental dragging (`moveFromX:y:toX:y:`).
-                let prev_x = attrs
-                    .get("currentX")
-                    .cloned()
-                    .unwrap_or(Value::Num(event.x));
-                let prev_y = attrs
-                    .get("currentY")
-                    .cloned()
-                    .unwrap_or(Value::Num(event.y));
-                attrs.insert("prevX".into(), prev_x);
-                attrs.insert("prevY".into(), prev_y);
-                attrs.insert("currentX".into(), Value::Num(event.x));
-                attrs.insert("currentY".into(), Value::Num(event.y));
-                attrs.insert("currentT".into(), Value::Num(event.t));
-                Self::install_attrs(attrs, ctx);
-                let manip = semantics.manip.clone();
-                match eval(&manip, ctx.env) {
-                    Ok(_) => trace.manip_evaluations += 1,
-                    Err(e) => trace.errors.push(e),
-                }
-                HandlerResult::Consumed
-            }
-            (State::Manipulating { .. }, EventKind::MouseUp { button })
-                if button == self.config.button =>
-            {
-                if let State::Manipulating {
-                    mut trace,
-                    semantics,
-                    attrs,
-                    total_points,
-                } = std::mem::replace(&mut self.state, State::Idle)
-                {
-                    trace.total_points = total_points;
-                    Self::install_attrs(&attrs, ctx);
-                    match eval(&semantics.done, ctx.env) {
-                        Ok(_) => {}
-                        Err(e) => trace.errors.push(e),
-                    }
-                    self.finish_interaction(trace);
-                }
-                HandlerResult::Consumed
-            }
-            (State::Manipulating { .. }, _) => HandlerResult::Consumed,
-            // Draining is fully handled before the match; this arm exists
-            // only to keep the state machine exhaustive.
-            (State::Draining { .. }, _) => HandlerResult::Consumed,
+        if was_in_progress || self.engine.in_progress() {
+            HandlerResult::Consumed
+        } else {
+            HandlerResult::Ignored
         }
     }
 }
@@ -701,6 +455,7 @@ mod tests {
     use crate::handler::Interface;
     use grandma_core::{EagerConfig, FeatureMask};
     use grandma_events::{gesture_events, gesture_events_with_hold, DwellDetector};
+    use grandma_geom::Point;
     use grandma_sem::{obj_ref, Expr, Recorder};
     use std::cell::RefCell;
 
@@ -803,7 +558,10 @@ mod tests {
     #[test]
     fn mouse_up_transition_omits_manipulation() {
         let config = GestureHandlerConfig {
-            eager: false,
+            interaction: InteractionConfig {
+                eager: false,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
@@ -819,7 +577,10 @@ mod tests {
     #[test]
     fn dwell_timeout_triggers_transition() {
         let config = GestureHandlerConfig {
-            eager: false,
+            interaction: InteractionConfig {
+                eager: false,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
@@ -888,8 +649,11 @@ mod tests {
     #[test]
     fn rejection_threshold_suppresses_semantics() {
         let config = GestureHandlerConfig {
-            eager: false,
-            min_probability: Some(1.1), // impossible: always reject
+            interaction: InteractionConfig {
+                eager: false,
+                min_probability: Some(1.1), // impossible: always reject
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
@@ -979,7 +743,10 @@ mod tests {
     #[test]
     fn fault_budget_exhaustion_cancels_the_interaction() {
         let config = GestureHandlerConfig {
-            fault_budget: 2,
+            interaction: InteractionConfig {
+                fault_budget: 2,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
@@ -1008,7 +775,10 @@ mod tests {
     #[test]
     fn note_faults_counts_toward_the_budget() {
         let config = GestureHandlerConfig {
-            fault_budget: 1,
+            interaction: InteractionConfig {
+                fault_budget: 1,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
@@ -1045,7 +815,10 @@ mod tests {
             handler_with(&semantics_counting(), GestureHandlerConfig::default());
         run_gesture(&mut interface, &training()[0][0], None);
         let eager_cfg = GestureHandlerConfig {
-            eager: false,
+            interaction: InteractionConfig {
+                eager: false,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         };
         let (mut iface2, gh2, _) = handler_with(&semantics_counting(), eager_cfg);
@@ -1063,7 +836,10 @@ mod tests {
     #[test]
     fn rejection_outcome_is_terminal_and_returns_to_idle() {
         let config = GestureHandlerConfig {
-            min_probability: Some(1.1),
+            interaction: InteractionConfig {
+                min_probability: Some(1.1),
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);

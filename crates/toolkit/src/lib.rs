@@ -21,7 +21,9 @@
 //! * [`GestureHandler`] — the paper's centrepiece: the two-phase
 //!   collection→manipulation interaction, with all three phase-transition
 //!   triggers (mouse-up, 200 ms dwell, eager recognition) and interpreted
-//!   `recog`/`manip`/`done` semantics per gesture class.
+//!   `recog`/`manip`/`done` semantics per gesture class. The state
+//!   machine itself is grandma-core's interaction engine, which the
+//!   server's session pipeline drives too.
 //!
 //! # Examples
 //!
@@ -43,9 +45,7 @@ mod handler;
 mod view;
 
 pub use drag::DragHandler;
-pub use gesture_handler::{
-    GestureClass, GestureHandler, GestureHandlerConfig, InteractionOutcome, InteractionTrace,
-    PhaseTransition,
-};
+pub use gesture_handler::{GestureClass, GestureHandler, GestureHandlerConfig, InteractionTrace};
+pub use grandma_core::interaction::{InteractionConfig, InteractionOutcome, PhaseTransition};
 pub use handler::{handler_ref, Ctx, EventHandler, HandlerRef, HandlerResult, Interface};
 pub use view::{View, ViewId, ViewStore};

@@ -14,8 +14,8 @@ use grandma::core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma::events::{gesture_events, Button, DwellDetector, EventKind, InputEvent};
 use grandma::synth::datasets;
 use grandma::toolkit::{
-    DragHandler, GestureClass, GestureHandler, GestureHandlerConfig, HandlerRef, Interface,
-    PhaseTransition,
+    DragHandler, GestureClass, GestureHandler, GestureHandlerConfig, HandlerRef, InteractionConfig,
+    Interface, PhaseTransition,
 };
 use grandma_geom::{BBox, Gesture, Transform};
 
@@ -33,7 +33,10 @@ fn gesture_handler(eager: bool) -> Rc<RefCell<GestureHandler>> {
         recognizer(),
         names.iter().map(|n| GestureClass::named(n)).collect(),
         GestureHandlerConfig {
-            eager,
+            interaction: InteractionConfig {
+                eager,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         },
     )))
@@ -403,7 +406,10 @@ fn enclosed_attribute_lists_models_inside_the_gesture() {
         GestureHandlerConfig {
             // Recognize at mouse-up so the gesture's full extent (the
             // whole lasso) defines <enclosed>, as in GDP's group.
-            eager: false,
+            interaction: InteractionConfig {
+                eager: false,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         },
     )));
