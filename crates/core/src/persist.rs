@@ -135,7 +135,15 @@ fn write_linear(out: &mut String, linear: &LinearClassifier) {
     out.push('\n');
 }
 
-fn read_linear(reader: &mut Reader<'_>) -> Result<LinearClassifier, PersistError> {
+/// Reads a `linear` section whose dimension must equal the feature mask's
+/// `mask_dim` and, when the file fixed it beforehand, whose class count
+/// must equal `expected_classes`. Nothing is sized from a count in the
+/// file until that count has been checked or its items have been read.
+fn read_linear(
+    reader: &mut Reader<'_>,
+    mask_dim: usize,
+    expected_classes: Option<usize>,
+) -> Result<LinearClassifier, PersistError> {
     let parts = reader.expect_keyword("linear")?;
     if parts.first() != Some(&"classes") || parts.get(2) != Some(&"dim") {
         return Err(reader.error("malformed `linear` header"));
@@ -145,9 +153,19 @@ fn read_linear(reader: &mut Reader<'_>) -> Result<LinearClassifier, PersistError
     if classes < 2 {
         return Err(reader.error("need at least two classes"));
     }
-    let mut weights = Vec::with_capacity(classes);
-    let mut constants = Vec::with_capacity(classes);
-    let mut means = Vec::with_capacity(classes);
+    if dim != mask_dim {
+        return Err(reader.error(format!(
+            "dimension {dim} disagrees with the mask's {mask_dim} features"
+        )));
+    }
+    if let Some(expected) = expected_classes.filter(|&e| e != classes) {
+        return Err(reader.error(format!(
+            "{classes} classes disagree with the {expected} AUC kinds"
+        )));
+    }
+    let mut weights = Vec::new();
+    let mut constants = Vec::new();
+    let mut means = Vec::new();
     for _ in 0..classes {
         weights.push(Vector::from_vec(reader.parse_floats(dim)?));
         let c = reader.expect_keyword("constant")?;
@@ -198,7 +216,7 @@ impl Classifier {
             return Err(reader.error("not a grandma-classifier v1 file"));
         }
         let mask = read_mask(&mut reader)?;
-        let linear = read_linear(&mut reader)?;
+        let linear = read_linear(&mut reader, mask.count(), None)?;
         Ok(Classifier::from_parts(linear, mask))
     }
 }
@@ -284,14 +302,14 @@ impl EagerRecognizer {
             min_subgesture_points: field(&reader, "minpoints")? as usize,
         };
         let mask = read_mask(&mut reader)?;
-        let full_linear = read_linear(&mut reader)?;
+        let full_linear = read_linear(&mut reader, mask.count(), None)?;
         let full = Classifier::from_parts(full_linear, mask);
         let parts = reader.expect_keyword("auc")?;
         if parts.first() != Some(&"kinds") {
             return Err(reader.error("malformed `auc` header"));
         }
         let kind_count = reader.parse_usize(parts.get(1).copied(), "kind count")?;
-        let mut kinds = Vec::with_capacity(kind_count);
+        let mut kinds = Vec::new();
         for _ in 0..kind_count {
             let line = reader.next_line()?;
             let mut split = line.split_whitespace();
@@ -303,7 +321,7 @@ impl EagerRecognizer {
                 _ => return Err(reader.error("bad AUC kind tag")),
             }
         }
-        let auc_linear = read_linear(&mut reader)?;
+        let auc_linear = read_linear(&mut reader, mask.count(), Some(kinds.len()))?;
         let auc = Auc::from_parts(auc_linear, kinds);
         Ok(EagerRecognizer::from_parts(full, auc, config))
     }
@@ -400,6 +418,73 @@ mod tests {
         let truncated: String = text.lines().take(4).collect::<Vec<_>>().join("\n");
         let err = Classifier::from_text(&truncated).unwrap_err();
         assert!(err.line >= 4, "error line {}", err.line);
+    }
+
+    #[test]
+    fn mask_disagreeing_with_dimension_is_rejected() {
+        // `0fff` enables 12 features; both classifiers store 13.
+        let (rec, _) =
+            EagerRecognizer::train(&training(), &FeatureMask::all(), &EagerConfig::default())
+                .unwrap();
+        let text = rec.to_text().replace("mask 1fff", "mask 0fff");
+        let err = EagerRecognizer::from_text(&text).unwrap_err();
+        assert!(err.message.contains("disagrees with the mask"), "{err}");
+        let c = Classifier::train(&training(), &FeatureMask::all()).unwrap();
+        let text = c.to_text().replace("mask 1fff", "mask 0fff");
+        let err = Classifier::from_text(&text).unwrap_err();
+        assert!(err.message.contains("disagrees with the mask"), "{err}");
+    }
+
+    #[test]
+    fn auc_dimension_disagreeing_with_mask_is_rejected() {
+        // A full classifier over all 13 features beside an AUC over 11.
+        let config = EagerConfig::default();
+        let (rec, _) = EagerRecognizer::train(&training(), &FeatureMask::all(), &config).unwrap();
+        let (narrow, _) =
+            EagerRecognizer::train(&training(), &FeatureMask::without_timing(), &config).unwrap();
+        let text = rec.to_text();
+        let auc_at = text.find("auc kinds").unwrap();
+        let narrow_text = narrow.to_text();
+        let narrow_auc_at = narrow_text.find("auc kinds").unwrap();
+        let spliced = format!("{}{}", &text[..auc_at], &narrow_text[narrow_auc_at..]);
+        let err = EagerRecognizer::from_text(&spliced).unwrap_err();
+        assert!(err.message.contains("disagrees with the mask"), "{err}");
+    }
+
+    #[test]
+    fn auc_kind_count_disagreeing_with_classes_is_rejected() {
+        let (rec, _) =
+            EagerRecognizer::train(&training(), &FeatureMask::all(), &EagerConfig::default())
+                .unwrap();
+        let kinds = rec.auc().kinds().len();
+        // One kind line more than the AUC has classes.
+        let extra = rec.to_text().replace(
+            &format!("auc kinds {kinds}\n"),
+            &format!("auc kinds {}\nC 0\n", kinds + 1),
+        );
+        let err = EagerRecognizer::from_text(&extra).unwrap_err();
+        assert!(err.message.contains("AUC kinds"), "{err}");
+    }
+
+    #[test]
+    fn huge_counts_fail_without_preallocating() {
+        // Counts far beyond the input's length must fail on the missing
+        // lines, not size an allocation from the count.
+        let c = Classifier::train(&training(), &FeatureMask::all()).unwrap();
+        let text = c.to_text().replace(
+            "linear classes 2",
+            &format!("linear classes {}", usize::MAX),
+        );
+        assert!(Classifier::from_text(&text).is_err());
+        let (rec, _) =
+            EagerRecognizer::train(&training(), &FeatureMask::all(), &EagerConfig::default())
+                .unwrap();
+        let kinds = rec.auc().kinds().len();
+        let text = rec.to_text().replace(
+            &format!("auc kinds {kinds}"),
+            &format!("auc kinds {}", usize::MAX),
+        );
+        assert!(EagerRecognizer::from_text(&text).is_err());
     }
 
     #[test]
