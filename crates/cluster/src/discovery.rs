@@ -390,21 +390,38 @@ pub fn read_cluster(path: &Path) -> Result<ClusterView, DiscoveryError> {
 }
 
 /// Atomically replaces the discovery file with `view`: write a `.tmp`
-/// sibling, fsync it, rename over the target. Readers see the old or
-/// the new complete document, never a prefix.
+/// sibling, fsync it, rename over the target, fsync the directory.
+/// Readers see the old or the new complete document, never a prefix, and
+/// a returned `Ok` survives power loss.
 pub fn write_cluster(path: &Path, view: &ClusterView) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
+    let dir = path
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    std::fs::create_dir_all(dir)?;
     let tmp = tmp_sibling(path);
     {
         let mut file = File::create(&tmp)?;
         file.write_all(render(view).as_bytes())?;
         file.sync_data()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    // Without this the rename can be lost on power failure and the
+    // registry generation rolls back.
+    sync_dir(dir)
+}
+
+/// Fsyncs a directory, making a rename (or create) of one of its entries
+/// durable. A tmp-file + `rename` publish is atomic but not durable until
+/// the directory itself is synced: on power loss the directory can come
+/// back without the new entry.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    // lint:allow(reactor-blocking-call): the directory fsync is the
+    // durability contract of a tmp + rename publish, like the WAL's
+    // `write_all`. A shard worker reaches it only from WAL compaction
+    // under `--wal sync`, once per compaction, beside that compaction's
+    // two `sync_data` calls.
+    File::open(dir)?.sync_all()
 }
 
 fn tmp_sibling(path: &Path) -> PathBuf {

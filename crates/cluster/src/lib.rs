@@ -8,9 +8,9 @@
 //!   so routing decisions never need a coordinator.
 //! - [`discovery`]: the `cluster.json` registry. Every `serve run
 //!   --cluster-file` process publishes `{id, addr, epoch}` into one
-//!   shared file with the same tmp + fsync + rename trick the WAL
-//!   snapshot uses, so readers always see a complete view and a torn
-//!   write is impossible.
+//!   shared file with the same tmp + fsync + rename + directory fsync
+//!   the WAL snapshot uses, so readers always see a complete view, a
+//!   torn write is impossible, and a published view survives power loss.
 //!
 //! This crate deliberately knows nothing about the wire protocol or the
 //! session router; grandma-serve layers ownership fencing and the
@@ -23,7 +23,7 @@ pub mod discovery;
 pub mod ring;
 
 pub use discovery::{
-    read_cluster, register_node, remove_node, write_cluster, ClusterView, DiscoveryError,
+    read_cluster, register_node, remove_node, sync_dir, write_cluster, ClusterView, DiscoveryError,
     NodeRecord,
 };
 pub use ring::{HashRing, DEFAULT_RING_SEED, DEFAULT_VNODES};

@@ -444,6 +444,10 @@ impl LinearClassifier {
     /// `classify_checked` would reject (non-finite features or a
     /// non-finite evaluation).
     ///
+    /// This is [`LinearClassifier::argmax_checked`] followed by
+    /// [`LinearClassifier::probability`]; a caller that never reads P̂
+    /// calls the first alone and skips the exponentials.
+    ///
     /// # Panics
     ///
     /// Panics if `features` has the wrong dimension or
@@ -454,6 +458,21 @@ impl LinearClassifier {
         features: &[f64],
         evaluations: &mut [f64],
     ) -> Option<(usize, f64)> {
+        let class = self.argmax_checked(features, evaluations)?;
+        Some((class, self.probability(evaluations, class)))
+    }
+
+    /// The checked argmax: evaluates into the caller's scratch buffer and
+    /// returns the class with the greatest evaluation (the lowest index on
+    /// a tie). `None` when a feature or any resulting evaluation is
+    /// non-finite. On `Some`, `evaluations` holds every class's `v_c(f)`,
+    /// ready for [`LinearClassifier::probability`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` has the wrong dimension or
+    /// `evaluations.len() != self.num_classes()`.
+    pub fn argmax_checked(&self, features: &[f64], evaluations: &mut [f64]) -> Option<usize> {
         if features.iter().any(|v| !v.is_finite()) {
             return None;
         }
@@ -469,8 +488,18 @@ impl LinearClassifier {
                 best = v;
             }
         }
-        let denom: f64 = evaluations.iter().map(|v| (v - best).exp()).sum();
-        Some((class, 1.0 / denom))
+        Some(class)
+    }
+
+    /// P̂(correct) = 1 / Σ_j e^{v_j − v_class} over evaluations filled by
+    /// [`LinearClassifier::argmax_checked`], where `class` is its argmax:
+    /// subtracting the maximum keeps the exponentials bounded. A `class`
+    /// outside `evaluations` has no probability mass (0).
+    pub fn probability(&self, evaluations: &[f64], class: usize) -> f64 {
+        evaluations.get(class).map_or(0.0, |&best| {
+            let denom: f64 = evaluations.iter().map(|v| (v - best).exp()).sum();
+            1.0 / denom
+        })
     }
     // lint:hot-path end
 
@@ -678,6 +707,18 @@ impl Classifier {
         evaluations: &mut [f64],
     ) -> Option<(usize, f64)> {
         self.linear.classify_slice_checked(features, evaluations)
+    }
+
+    /// The checked argmax alone: see [`LinearClassifier::argmax_checked`].
+    pub fn argmax_checked(&self, features: &[f64], evaluations: &mut [f64]) -> Option<usize> {
+        self.linear.argmax_checked(features, evaluations)
+    }
+
+    /// P̂ of `class` over evaluations filled by
+    /// [`Classifier::argmax_checked`]: see
+    /// [`LinearClassifier::probability`].
+    pub fn probability(&self, evaluations: &[f64], class: usize) -> f64 {
+        self.linear.probability(evaluations, class)
     }
 
     /// Returns the feature mask used at training time.

@@ -34,6 +34,13 @@
 //! Every path ends in `Idle`, with exactly one [`Step::Outcome`] per
 //! interaction.
 //!
+//! Each phase transition costs one classification of features the engine
+//! already has. An eager commit classifies the very feature slice the AUC
+//! judged unambiguous on that mouse point; a timeout or mouse-up commit
+//! reads the warm extractor once. The commit takes the checked argmax and
+//! computes the probability estimate P̂ only when
+//! [`InteractionConfig::min_probability`] is set to read it.
+//!
 //! The collection buffers (gesture, feature extractor, jitter filter,
 //! classifier scratch) live on the engine and are cleared, not dropped,
 //! between interactions. Once the first gesture has warmed them up,
@@ -42,7 +49,9 @@
 use grandma_events::{EventKind, InputEvent, StreamFault};
 use grandma_geom::{Gesture, Point};
 
-use crate::{EagerRecognizer, FeatureExtractor, PointFilter, FEATURE_COUNT};
+use crate::{
+    Classifier, EagerRecognizer, FeatureExtractor, FeatureMask, PointFilter, FEATURE_COUNT,
+};
 
 /// Settings of the interaction engine, shared by every adapter.
 #[derive(Debug, Clone, PartialEq)]
@@ -362,20 +371,26 @@ impl InteractionEngine {
                 self.extractor.update(p);
                 if self.config.eager && self.extractor.count() >= rec.config().min_subgesture_points
                 {
-                    let mask = rec.full_classifier().mask();
-                    // lint:allow(hot-path-index): mask.count() <= FEATURE_COUNT by construction
-                    let slots = &mut self.features[..mask.count()];
-                    self.extractor.masked_features_into(mask, slots);
-                    if rec.auc().is_unambiguous_slice(slots) {
-                        self.commit(rec, PhaseTransition::Eager, out);
+                    let classifier = rec.full_classifier();
+                    let features = masked(&self.extractor, classifier.mask(), &mut self.features);
+                    if rec.auc().is_unambiguous_slice(features) {
+                        // The AUC is trained on the full classifier's mask,
+                        // so the features it just judged are the commit's.
+                        let class = classify(
+                            classifier,
+                            features,
+                            &mut self.evaluations,
+                            self.config.min_probability,
+                        );
+                        self.commit(PhaseTransition::Eager, class, out);
                     }
                 }
             }
             (Phase::Collecting, EventKind::Timeout) => {
-                self.commit(rec, PhaseTransition::Timeout, out);
+                self.commit_collected(rec, PhaseTransition::Timeout, out);
             }
             (Phase::Collecting, EventKind::MouseUp { .. }) => {
-                self.commit(rec, PhaseTransition::MouseUp, out);
+                self.commit_collected(rec, PhaseTransition::MouseUp, out);
             }
             (Phase::Collecting, EventKind::MouseDown { .. }) => {
                 // The sanitizer demotes duplicate downs upstream; one that
@@ -418,30 +433,33 @@ impl InteractionEngine {
         }
     }
 
-    /// The phase transition: classify the collected gesture through the
-    /// checked path and either enter manipulation (mid-gesture trigger)
-    /// or finish (mouse-up). Non-finite or degenerate features are
-    /// rejected explicitly rather than argmaxed over NaN. The warm
-    /// extractor has accumulated exactly the collected points, so its
-    /// features equal a fresh extraction without re-walking them.
-    fn commit(
+    /// A timeout or mouse-up transition: nothing has been extracted for
+    /// it yet, so extract the collected gesture's features and commit
+    /// their classification. The warm extractor has accumulated exactly
+    /// the collected points, so its features equal a fresh extraction
+    /// without re-walking them.
+    fn commit_collected(
         &mut self,
         rec: &EagerRecognizer,
         transition: PhaseTransition,
         out: &mut impl StepSink,
     ) {
-        let points = self.gesture.len() as u32;
         let classifier = rec.full_classifier();
-        let mask = classifier.mask();
-        // lint:allow(hot-path-index): mask.count() <= FEATURE_COUNT by construction
-        let slots = &mut self.features[..mask.count()];
-        self.extractor.masked_features_into(mask, slots);
-        self.evaluations.resize(classifier.num_classes(), 0.0);
-        let min_probability = self.config.min_probability;
-        let class = classifier
-            .classify_slice_checked(slots, &mut self.evaluations)
-            .filter(|&(_, probability)| !min_probability.is_some_and(|min| probability < min))
-            .map(|(class, _)| class as u16);
+        let features = masked(&self.extractor, classifier.mask(), &mut self.features);
+        let class = classify(
+            classifier,
+            features,
+            &mut self.evaluations,
+            self.config.min_probability,
+        );
+        self.commit(transition, class, out);
+    }
+
+    /// The phase transition, given the collected gesture's classification
+    /// (`None` when rejected): enter manipulation (mid-gesture trigger),
+    /// finish (mouse-up), or hold the rejection until the grab ends.
+    fn commit(&mut self, transition: PhaseTransition, class: Option<u16>, out: &mut impl StepSink) {
+        let points = self.gesture.len() as u32;
         out.push(Step::Classified {
             transition,
             class,
@@ -544,3 +562,38 @@ impl InteractionEngine {
         }
     }
 }
+
+// lint:hot-path start — the commit's feature and classification steps
+/// Fills the first `mask.count()` slots of `buf` with the extractor's
+/// masked features and returns them.
+#[inline]
+fn masked<'a>(
+    extractor: &FeatureExtractor,
+    mask: &FeatureMask,
+    buf: &'a mut [f64; FEATURE_COUNT],
+) -> &'a [f64] {
+    // lint:allow(hot-path-index): mask.count() <= FEATURE_COUNT by construction
+    let slots = &mut buf[..mask.count()];
+    extractor.masked_features_into(mask, slots);
+    slots
+}
+
+/// The commit classification: the checked argmax over `features`, so
+/// non-finite or degenerate features are rejected explicitly rather than
+/// argmaxed over NaN. P̂ is computed only when a rejection threshold reads
+/// it, from the same evaluations.
+#[inline]
+fn classify(
+    classifier: &Classifier,
+    features: &[f64],
+    evaluations: &mut Vec<f64>,
+    min_probability: Option<f64>,
+) -> Option<u16> {
+    evaluations.resize(classifier.num_classes(), 0.0);
+    let class = classifier.argmax_checked(features, evaluations)?;
+    if min_probability.is_some_and(|min| classifier.probability(evaluations, class) < min) {
+        return None;
+    }
+    Some(class as u16)
+}
+// lint:hot-path end

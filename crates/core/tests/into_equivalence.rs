@@ -368,3 +368,95 @@ fn evaluate_into_rejects_a_long_feature_vector() {
     full.linear()
         .evaluate_into(&[0.0; FEATURE_COUNT + 1], &mut out);
 }
+
+/// The checked slice classification as one loop: the argmax under
+/// `total_cmp` with `None` on any non-finite evaluation, then
+/// P̂ = 1 / Σ_j e^{v_j − v_max}.
+fn reference_classify_slice_checked(
+    linear: &LinearClassifier,
+    features: &[f64],
+) -> Option<(usize, f64)> {
+    if features.iter().any(|v| !v.is_finite()) {
+        return None;
+    }
+    let evaluations = linear.evaluate(&Vector::from_slice(features));
+    let mut class = 0;
+    let mut best = f64::NEG_INFINITY;
+    for (i, &v) in evaluations.iter().enumerate() {
+        if !v.is_finite() {
+            return None;
+        }
+        if v.total_cmp(&best) == std::cmp::Ordering::Greater {
+            class = i;
+            best = v;
+        }
+    }
+    let denom: f64 = evaluations.iter().map(|v| (v - best).exp()).sum();
+    Some((class, 1.0 / denom))
+}
+
+/// `argmax_checked` then `probability` (the way a thresholded commit
+/// composes them), `classify_slice_checked` and the reference agree bit
+/// for bit, `None` included.
+fn assert_split_matches(classifier: &Classifier, f: &[f64]) {
+    let bits = |r: Option<(usize, f64)>| r.map(|(class, p)| (class, p.to_bits()));
+    let mut evaluations = vec![0.0; classifier.num_classes()];
+    let split = classifier
+        .argmax_checked(f, &mut evaluations)
+        .map(|class| (class, classifier.probability(&evaluations, class)));
+    let mut scratch = vec![0.0; classifier.num_classes()];
+    let whole = classifier.classify_slice_checked(f, &mut scratch);
+    let reference = reference_classify_slice_checked(classifier.linear(), f);
+    assert_eq!(bits(split), bits(whole), "split vs whole on {f:?}");
+    assert_eq!(bits(whole), bits(reference), "whole vs reference on {f:?}");
+}
+
+#[test]
+fn split_commit_classification_is_bitwise_equal_on_every_gdp_prefix() {
+    let data = datasets::gdp(0x7124_1a11, 10, 0);
+    let unseen = datasets::gdp(0x7e57_0001, 0, 4);
+    let mask = FeatureMask::all();
+    let (rec, _) = EagerRecognizer::train(&data.training, &mask, &EagerConfig::default()).unwrap();
+    let classifier = rec.full_classifier();
+    let gestures = data
+        .training
+        .iter()
+        .flatten()
+        .chain(unseen.testing.iter().map(|t| &t.gesture));
+    let mut buf = vec![0.0; mask.count()];
+    let mut prefixes = 0;
+    for g in gestures {
+        let mut fx = FeatureExtractor::new();
+        for &p in g.points() {
+            fx.update(p);
+            fx.masked_features_into(&mask, &mut buf);
+            assert_split_matches(classifier, &buf);
+            prefixes += 1;
+        }
+    }
+    assert!(prefixes > 1000, "{prefixes} prefixes");
+
+    let mut evaluations = vec![0.0; classifier.num_classes()];
+    for probe in probes_with_non_finite(&mask) {
+        if probe.iter().any(|v| !v.is_finite()) {
+            assert_eq!(classifier.argmax_checked(&probe, &mut evaluations), None);
+        }
+        assert_split_matches(classifier, &probe);
+    }
+    // Finite features whose evaluations overflow: the evaluation check,
+    // not the feature check, must reject them.
+    for huge in [1e308, -1e308] {
+        let probe = vec![huge; mask.count()];
+        classifier.linear().evaluate_into(&probe, &mut evaluations);
+        assert!(
+            evaluations.iter().any(|v| !v.is_finite()),
+            "{huge} overflows"
+        );
+        assert_eq!(classifier.argmax_checked(&probe, &mut evaluations), None);
+        assert_eq!(
+            classifier.classify_slice_checked(&probe, &mut evaluations),
+            None
+        );
+        assert_split_matches(classifier, &probe);
+    }
+}

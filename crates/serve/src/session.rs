@@ -905,4 +905,74 @@ mod tests {
         });
         assert!(cancelled, "budget exhaustion must cancel: {out:?}");
     }
+
+    #[test]
+    fn rejection_threshold_flips_exactly_at_the_commit_probability() {
+        let rec = recognizer();
+        let classifier = rec.full_classifier();
+        let mut evaluations = vec![0.0; classifier.num_classes()];
+        let data = datasets::eight_way(0x7e57, 0, 4);
+        let mut checked = 0;
+        for (session, labeled) in data.testing.iter().enumerate() {
+            let events = grandma_events::gesture_events(&labeled.gesture, Button::Left);
+            // The engine alone finds the committed gesture; P̂ is the
+            // checked classification of a fresh extraction of it.
+            let mut engine = InteractionEngine::new(InteractionConfig::default());
+            let mut steps = Vec::new();
+            let mut probability = None;
+            for &event in &events {
+                steps.clear();
+                engine.step(&rec, event, &mut steps);
+                if steps.iter().any(|s| matches!(s, Step::Classified { .. })) {
+                    let features = grandma_core::FeatureExtractor::extract(
+                        engine.gesture(),
+                        classifier.mask(),
+                    );
+                    probability = classifier
+                        .classify_slice_checked(features.as_slice(), &mut evaluations)
+                        .map(|(_, p)| p);
+                }
+            }
+            let Some(p) = probability else {
+                continue;
+            };
+            assert!(p.is_finite() && p > 0.0, "P̂ = {p}");
+            let stream = seq_events(events);
+            let run = |min_probability| {
+                let config = PipelineConfig {
+                    interaction: InteractionConfig {
+                        min_probability,
+                        ..InteractionConfig::default()
+                    },
+                    ..PipelineConfig::default()
+                };
+                run_events_inproc(&rec, session as u64, &config, &stream, stream.len() as u32)
+            };
+            let unthresholded = run(None);
+            let rejects = |frames: &[ServerFrame]| {
+                frames.iter().any(|f| {
+                    matches!(
+                        f,
+                        ServerFrame::Outcome {
+                            outcome: OutcomeKind::Rejected,
+                            class: None,
+                            ..
+                        }
+                    )
+                })
+            };
+            assert!(!rejects(&unthresholded));
+            let below = f64::from_bits(p.to_bits() - 1);
+            let above = f64::from_bits(p.to_bits() + 1);
+            assert_eq!(run(Some(below)), unthresholded, "P̂ = {p}");
+            assert_eq!(run(Some(p)), unthresholded, "P̂ = {p}");
+            let rejected = run(Some(above));
+            assert!(rejects(&rejected), "P̂ = {p}: {rejected:?}");
+            assert!(!rejected
+                .iter()
+                .any(|f| matches!(f, ServerFrame::Recognized { .. })));
+            checked += 1;
+        }
+        assert!(checked >= 16, "{checked} thresholded sessions");
+    }
 }

@@ -26,7 +26,9 @@
 //!
 //! Compaction: once [`WalConfig::compact_bytes`] of log have accumulated,
 //! the worker snapshots every live session into `shard-<i>.snap.tmp`,
-//! fsyncs, renames over `shard-<i>.snap`, and truncates the log. The
+//! fsyncs, renames over `shard-<i>.snap`, and truncates the log. Under
+//! [`FsyncPolicy::Sync`] the directory is fsynced between the rename and
+//! the truncate, so the truncate never outlives a lost rename. The
 //! rename is atomic; a crash between rename and truncate merely leaves
 //! pre-snapshot frames in the log, which replay skips via the snapshot's
 //! `last_seq` watermark.
@@ -241,6 +243,13 @@ impl WalShard {
             tmp.sync_data()?;
         }
         std::fs::rename(&tmp_path, &snap_path)?;
+        if self.config.fsync == FsyncPolicy::Sync {
+            // The rename must be durable before the truncate: otherwise a
+            // power loss can keep the truncate and lose the rename, leaving
+            // the old snapshot and an empty log. The fsync leaf is attested
+            // in `sync_dir`.
+            grandma_cluster::sync_dir(&self.config.dir)?;
+        }
         // Truncate the log in place: with O_APPEND the next write lands
         // at the (new) end regardless of the handle's cursor.
         self.file.set_len(0)?;
@@ -502,7 +511,16 @@ mod tests {
 
     #[test]
     fn compaction_snapshots_and_truncates() {
-        let mut config = WalConfig::new(tmp_dir("compact"), FsyncPolicy::Async);
+        compact_and_append("compact", FsyncPolicy::Async);
+    }
+
+    #[test]
+    fn compaction_under_the_sync_policy_snapshots_and_truncates() {
+        compact_and_append("compact-sync", FsyncPolicy::Sync);
+    }
+
+    fn compact_and_append(tag: &str, fsync: FsyncPolicy) {
+        let mut config = WalConfig::new(tmp_dir(tag), fsync);
         config.compact_bytes = 64;
         let mut wal = WalShard::open(config.clone(), 2).expect("open");
         let mut bytes = Vec::new();
